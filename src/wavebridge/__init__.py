@@ -5,7 +5,7 @@ Library layout:
     dsp         filters, resampling, STFT/iSTFT, low-band replacement
     bandwidth   effective-bandwidth estimation from the magnitude spectrum
     metrics     LSD, band-limited LSD, spectral SSIM, multi-resolution STFT loss
-    kernels     conv1d compute kernels (numba or numpy, env-selected)
+    kernels     conv1d compute kernels (numpy)
     nn          minimal float64 autodiff, layers, Adam, gradient checking
     codec       convolutional waveform VAE (encode/decode/train/scale fitting)
     bridge      bridge noise schedule, forward marginal, loss target, sampler

@@ -87,15 +87,6 @@ class BridgeSchedule:
         return float(np.sqrt(self.var_total))
 
 
-def schedule_coeffs(sched: BridgeSchedule, t: float) -> tuple[float, float, float, float, float]:
-    """(drift scale, reverse drift scale, fwd std, rev std, total std) at t.
-
-    Drift is zero for this process, so the first two entries are exactly 1.
-    """
-    sched._check_t(t)
-    return 1.0, 1.0, sched.std_fwd(t), sched.std_rev(t), sched.std_total
-
-
 def _check_same_shape(a: np.ndarray, b: np.ndarray, what: str) -> None:
     if a.shape != b.shape:
         raise ValueError(f"{what}: shapes differ {a.shape} vs {b.shape}")

@@ -68,6 +68,8 @@ def load_checkpoint(path: str) -> tuple[str, dict, dict, dict]:
     if not raw.startswith(MAGIC):
         raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
     ofs = len(MAGIC)
+    if len(raw) < ofs + 8:
+        raise CheckpointError(f"{path}: truncated header length")
     head_len = int(np.frombuffer(raw, dtype=np.uint64, count=1, offset=ofs)[0])
     ofs += 8
     try:

@@ -1,12 +1,6 @@
 """1-D convolution compute kernels, the training hot path.
 
-Two interchangeable backends:
-  - "numba": @njit loops (cache=True, single-threaded, no fastmath, so the
-    results match numpy bit-for-bit up to summation order)
-  - "numpy": stride-trick windows + einsum
-
-Selected once at import via WAVEBRIDGE_KERNELS=numba|numpy; default is numba
-when importable, numpy otherwise. benchmarks/bench_kernels.py times both.
+numpy only: stride-trick windows plus einsum, or one einsum per kernel tap.
 
 All kernels are "valid" convolutions on float64 arrays laid out (batch,
 channels, length); padding is the caller's job. Weight layouts follow the
@@ -16,26 +10,22 @@ k).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # numba is optional; the numpy backend covers its absence
-    _HAVE_NUMBA = False
+# wbbench/run.py records this name in each run's environment.
+BACKEND = "numpy"
 
 
 def conv1d_out_len(length: int, k: int, stride: int, dilation: int) -> int:
     return (length - (k - 1) * dilation - 1) // stride + 1
 
 
-# ---------------------------------------------------------------- numpy path
+def _c(a):
+    return np.ascontiguousarray(a, dtype=np.float64)
 
 
-def _np_conv1d_fwd(x, w, stride, dilation):
+def conv1d_fwd(x, w, stride=1, dilation=1):
+    x, w = _c(x), _c(w)
     n, ci, length = x.shape
     co, _, k = w.shape
     span = (k - 1) * dilation + 1
@@ -43,7 +33,8 @@ def _np_conv1d_fwd(x, w, stride, dilation):
     return np.einsum("nclk,ock->nol", win, w, optimize=True)
 
 
-def _np_conv1d_grad_x(gy, w, stride, dilation, length):
+def conv1d_grad_x(gy, w, stride, dilation, length):
+    gy, w = _c(gy), _c(w)
     n, co, lo = gy.shape
     _, ci, k = w.shape
     gx = np.zeros((n, ci, length))
@@ -53,13 +44,15 @@ def _np_conv1d_grad_x(gy, w, stride, dilation, length):
     return gx
 
 
-def _np_conv1d_grad_w(x, gy, stride, dilation, k):
+def conv1d_grad_w(x, gy, stride, dilation, k):
+    x, gy = _c(x), _c(gy)
     span = (k - 1) * dilation + 1
     win = np.lib.stride_tricks.sliding_window_view(x, span, axis=2)[:, :, ::stride, ::dilation]
     return np.einsum("nclk,nol->ock", win, gy, optimize=True)
 
 
-def _np_convt1d_fwd(x, w, stride):
+def convt1d_fwd(x, w, stride=1):
+    x, w = _c(x), _c(w)
     n, ci, length = x.shape
     _, co, k = w.shape
     lo = (length - 1) * stride + k
@@ -69,7 +62,8 @@ def _np_convt1d_fwd(x, w, stride):
     return y
 
 
-def _np_convt1d_grad_x(gy, w, stride):
+def convt1d_grad_x(gy, w, stride):
+    gy, w = _c(gy), _c(w)
     ci, co, k = w.shape
     lo = gy.shape[2]
     length = (lo - k) // stride + 1
@@ -79,185 +73,10 @@ def _np_convt1d_grad_x(gy, w, stride):
     return gx
 
 
-def _np_convt1d_grad_w(x, gy, stride, k):
+def convt1d_grad_w(x, gy, stride, k):
+    x, gy = _c(x), _c(gy)
     n, ci, length = x.shape
     gw = np.zeros((ci, gy.shape[1], k))
     for kk in range(k):
         gw[:, :, kk] = np.einsum("ncl,nol->co", x, gy[:, :, kk : kk + stride * length : stride], optimize=True)
     return gw
-
-
-# ---------------------------------------------------------------- numba path
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _nb_conv1d_fwd(x, w, stride, dilation):
-        n, ci, length = x.shape
-        co, _, k = w.shape
-        lo = (length - (k - 1) * dilation - 1) // stride + 1
-        y = np.zeros((n, co, lo))
-        for nb in range(n):
-            for o in range(co):
-                for i in range(lo):
-                    acc = 0.0
-                    base = i * stride
-                    for c in range(ci):
-                        for kk in range(k):
-                            acc += x[nb, c, base + kk * dilation] * w[o, c, kk]
-                    y[nb, o, i] = acc
-        return y
-
-    @njit(cache=True)
-    def _nb_conv1d_grad_x(gy, w, stride, dilation, length):
-        n, co, lo = gy.shape
-        _, ci, k = w.shape
-        gx = np.zeros((n, ci, length))
-        for nb in range(n):
-            for o in range(co):
-                for i in range(lo):
-                    g = gy[nb, o, i]
-                    base = i * stride
-                    for c in range(ci):
-                        for kk in range(k):
-                            gx[nb, c, base + kk * dilation] += g * w[o, c, kk]
-        return gx
-
-    @njit(cache=True)
-    def _nb_conv1d_grad_w(x, gy, stride, dilation, k):
-        n, ci, length = x.shape
-        _, co, lo = gy.shape
-        gw = np.zeros((co, ci, k))
-        for nb in range(n):
-            for o in range(co):
-                for i in range(lo):
-                    g = gy[nb, o, i]
-                    base = i * stride
-                    for c in range(ci):
-                        for kk in range(k):
-                            gw[o, c, kk] += x[nb, c, base + kk * dilation] * g
-        return gw
-
-    @njit(cache=True)
-    def _nb_convt1d_fwd(x, w, stride):
-        n, ci, length = x.shape
-        _, co, k = w.shape
-        lo = (length - 1) * stride + k
-        y = np.zeros((n, co, lo))
-        for nb in range(n):
-            for c in range(ci):
-                for i in range(length):
-                    v = x[nb, c, i]
-                    base = i * stride
-                    for o in range(co):
-                        for kk in range(k):
-                            y[nb, o, base + kk] += v * w[c, o, kk]
-        return y
-
-    @njit(cache=True)
-    def _nb_convt1d_grad_x(gy, w, stride):
-        ci, co, k = w.shape
-        n = gy.shape[0]
-        lo = gy.shape[2]
-        length = (lo - k) // stride + 1
-        gx = np.zeros((n, ci, length))
-        for nb in range(n):
-            for c in range(ci):
-                for i in range(length):
-                    acc = 0.0
-                    base = i * stride
-                    for o in range(co):
-                        for kk in range(k):
-                            acc += gy[nb, o, base + kk] * w[c, o, kk]
-                    gx[nb, c, i] = acc
-        return gx
-
-    @njit(cache=True)
-    def _nb_convt1d_grad_w(x, gy, stride, k):
-        n, ci, length = x.shape
-        co = gy.shape[1]
-        gw = np.zeros((ci, co, k))
-        for nb in range(n):
-            for c in range(ci):
-                for i in range(length):
-                    v = x[nb, c, i]
-                    base = i * stride
-                    for o in range(co):
-                        for kk in range(k):
-                            gw[c, o, kk] += v * gy[nb, o, base + kk]
-        return gw
-
-
-_TABLES = {
-    "numpy": {
-        "conv1d_fwd": _np_conv1d_fwd,
-        "conv1d_grad_x": _np_conv1d_grad_x,
-        "conv1d_grad_w": _np_conv1d_grad_w,
-        "convt1d_fwd": _np_convt1d_fwd,
-        "convt1d_grad_x": _np_convt1d_grad_x,
-        "convt1d_grad_w": _np_convt1d_grad_w,
-    }
-}
-if _HAVE_NUMBA:
-    _TABLES["numba"] = {
-        "conv1d_fwd": _nb_conv1d_fwd,
-        "conv1d_grad_x": _nb_conv1d_grad_x,
-        "conv1d_grad_w": _nb_conv1d_grad_w,
-        "convt1d_fwd": _nb_convt1d_fwd,
-        "convt1d_grad_x": _nb_convt1d_grad_x,
-        "convt1d_grad_w": _nb_convt1d_grad_w,
-    }
-
-
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_TABLES))
-
-
-def get_impl(backend: str) -> dict:
-    """Raw kernel table for a backend; used by the benchmark and tests."""
-    if backend not in _TABLES:
-        raise ValueError(f"unknown kernel backend {backend!r}; available: {available_backends()}")
-    return _TABLES[backend]
-
-
-def _pick_backend() -> str:
-    env = os.environ.get("WAVEBRIDGE_KERNELS", "").strip().lower()
-    if env:
-        if env not in _TABLES:
-            raise RuntimeError(
-                f"WAVEBRIDGE_KERNELS={env!r} not available; choices: {available_backends()}"
-            )
-        return env
-    return "numba" if _HAVE_NUMBA else "numpy"
-
-
-BACKEND = _pick_backend()
-_ACTIVE = _TABLES[BACKEND]
-
-
-def _c(a):
-    return np.ascontiguousarray(a, dtype=np.float64)
-
-
-def conv1d_fwd(x, w, stride=1, dilation=1):
-    return _ACTIVE["conv1d_fwd"](_c(x), _c(w), stride, dilation)
-
-
-def conv1d_grad_x(gy, w, stride, dilation, length):
-    return _ACTIVE["conv1d_grad_x"](_c(gy), _c(w), stride, dilation, length)
-
-
-def conv1d_grad_w(x, gy, stride, dilation, k):
-    return _ACTIVE["conv1d_grad_w"](_c(x), _c(gy), stride, dilation, k)
-
-
-def convt1d_fwd(x, w, stride=1):
-    return _ACTIVE["convt1d_fwd"](_c(x), _c(w), stride)
-
-
-def convt1d_grad_x(gy, w, stride):
-    return _ACTIVE["convt1d_grad_x"](_c(gy), _c(w), stride)
-
-
-def convt1d_grad_w(x, gy, stride, k):
-    return _ACTIVE["convt1d_grad_w"](_c(x), _c(gy), stride, k)

@@ -71,6 +71,9 @@ def _as_tensor(x) -> Tensor:
 
 
 def _node(data, parents, backward_fn) -> Tensor:
+    # backward_fn receives the output gradient as its argument instead of
+    # reading it off the output, so a graph holds no reference cycle and is
+    # freed without the cyclic garbage collector.
     out = Tensor(data)
     out.requires_grad = any(p.requires_grad for p in parents)
     if out.requires_grad:
@@ -111,7 +114,7 @@ def backward(loss: Tensor) -> None:
     loss.grad = np.ones_like(loss.data)
     for node in reversed(topo):
         if node._backward is not None:
-            node._backward()
+            node._backward(node.grad)
 
 
 # ------------------------------------------------------------ primitive ops
@@ -120,47 +123,43 @@ def backward(loss: Tensor) -> None:
 def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
 
-    def back():
+    def back(g):
         if a.requires_grad:
-            a.accumulate(_unbroadcast(out.grad, a.data.shape))
+            a.accumulate(_unbroadcast(g, a.data.shape))
         if b.requires_grad:
-            b.accumulate(_unbroadcast(out.grad, b.data.shape))
+            b.accumulate(_unbroadcast(g, b.data.shape))
 
-    out = _node(out_data, (a, b), back)
-    return out
+    return _node(out_data, (a, b), back)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data * b.data
 
-    def back():
+    def back(g):
         if a.requires_grad:
-            a.accumulate(_unbroadcast(out.grad * b.data, a.data.shape))
+            a.accumulate(_unbroadcast(g * b.data, a.data.shape))
         if b.requires_grad:
-            b.accumulate(_unbroadcast(out.grad * a.data, b.data.shape))
+            b.accumulate(_unbroadcast(g * a.data, b.data.shape))
 
-    out = _node(out_data, (a, b), back)
-    return out
+    return _node(out_data, (a, b), back)
 
 
 def neg(a: Tensor) -> Tensor:
-    def back():
+    def back(g):
         if a.requires_grad:
-            a.accumulate(-out.grad)
+            a.accumulate(-g)
 
-    out = _node(-a.data, (a,), back)
-    return out
+    return _node(-a.data, (a,), back)
 
 
 def pow_const(a: Tensor, p: float) -> Tensor:
     out_data = a.data**p
 
-    def back():
+    def back(g):
         if a.requires_grad:
-            a.accumulate(out.grad * p * a.data ** (p - 1.0))
+            a.accumulate(g * p * a.data ** (p - 1.0))
 
-    out = _node(out_data, (a,), back)
-    return out
+    return _node(out_data, (a,), back)
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -170,71 +169,64 @@ def sqrt(a: Tensor) -> Tensor:
 def exp(a: Tensor) -> Tensor:
     out_data = np.exp(a.data)
 
-    def back():
+    def back(g):
         if a.requires_grad:
-            a.accumulate(out.grad * out_data)
+            a.accumulate(g * out_data)
 
-    out = _node(out_data, (a,), back)
-    return out
+    return _node(out_data, (a,), back)
 
 
 def log(a: Tensor) -> Tensor:
-    def back():
+    def back(g):
         if a.requires_grad:
-            a.accumulate(out.grad / a.data)
+            a.accumulate(g / a.data)
 
-    out = _node(np.log(a.data), (a,), back)
-    return out
+    return _node(np.log(a.data), (a,), back)
 
 
 def tanh(a: Tensor) -> Tensor:
     out_data = np.tanh(a.data)
 
-    def back():
+    def back(g):
         if a.requires_grad:
-            a.accumulate(out.grad * (1.0 - out_data * out_data))
+            a.accumulate(g * (1.0 - out_data * out_data))
 
-    out = _node(out_data, (a,), back)
-    return out
+    return _node(out_data, (a,), back)
 
 
 def absolute(a: Tensor) -> Tensor:
     """|a|; subgradient sign(a) (0 at 0)."""
     out_data = np.abs(a.data)
 
-    def back():
+    def back(g):
         if a.requires_grad:
-            a.accumulate(out.grad * np.sign(a.data))
+            a.accumulate(g * np.sign(a.data))
 
-    out = _node(out_data, (a,), back)
-    return out
+    return _node(out_data, (a,), back)
 
 
 def maximum_const(a: Tensor, c: float) -> Tensor:
     """max(a, c) against a scalar floor; gradient flows where a >= c."""
     out_data = np.maximum(a.data, c)
 
-    def back():
+    def back(g):
         if a.requires_grad:
-            a.accumulate(out.grad * (a.data >= c))
+            a.accumulate(g * (a.data >= c))
 
-    out = _node(out_data, (a,), back)
-    return out
+    return _node(out_data, (a,), back)
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
-    def back():
+    def back(g):
         if not a.requires_grad:
             return
-        g = out.grad
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         a.accumulate(np.broadcast_to(g, a.data.shape).copy())
 
-    out = _node(out_data, (a,), back)
-    return out
+    return _node(out_data, (a,), back)
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -249,62 +241,57 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data @ b.data
 
-    def back():
+    def back(g):
         if a.requires_grad:
-            a.accumulate(out.grad @ b.data.T)
+            a.accumulate(g @ b.data.T)
         if b.requires_grad:
-            b.accumulate(a.data.T @ out.grad)
+            b.accumulate(a.data.T @ g)
 
-    out = _node(out_data, (a, b), back)
-    return out
+    return _node(out_data, (a, b), back)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    def back():
+    def back(g):
         if a.requires_grad:
-            a.accumulate(out.grad.reshape(a.data.shape))
+            a.accumulate(g.reshape(a.data.shape))
 
-    out = _node(a.data.reshape(shape), (a,), back)
-    return out
+    return _node(a.data.reshape(shape), (a,), back)
 
 
 def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
-    def back():
+    def back(g):
         if a.requires_grad:
-            g = np.zeros_like(a.data)
-            g[..., start:stop] = out.grad
-            a.accumulate(g)
+            ga = np.zeros_like(a.data)
+            ga[..., start:stop] = g
+            a.accumulate(ga)
 
-    out = _node(a.data[..., start:stop], (a,), back)
-    return out
+    return _node(a.data[..., start:stop], (a,), back)
 
 
 def concat_last(parts: list[Tensor]) -> Tensor:
     out_data = np.concatenate([p.data for p in parts], axis=-1)
     sizes = [p.data.shape[-1] for p in parts]
 
-    def back():
+    def back(g):
         ofs = 0
         for p, sz in zip(parts, sizes):
             if p.requires_grad:
-                p.accumulate(out.grad[..., ofs : ofs + sz])
+                p.accumulate(g[..., ofs : ofs + sz])
             ofs += sz
 
-    out = _node(out_data, tuple(parts), back)
-    return out
+    return _node(out_data, tuple(parts), back)
 
 
 def slice_channels(a: Tensor, start: int, stop: int) -> Tensor:
     """Slice a (N, C, L) tensor along the channel axis."""
 
-    def back():
+    def back(g):
         if a.requires_grad:
-            g = np.zeros_like(a.data)
-            g[:, start:stop] = out.grad
-            a.accumulate(g)
+            ga = np.zeros_like(a.data)
+            ga[:, start:stop] = g
+            a.accumulate(ga)
 
-    out = _node(a.data[:, start:stop], (a,), back)
-    return out
+    return _node(a.data[:, start:stop], (a,), back)
 
 
 def concat_channels(parts: list[Tensor]) -> Tensor:
@@ -312,15 +299,14 @@ def concat_channels(parts: list[Tensor]) -> Tensor:
     out_data = np.concatenate([p.data for p in parts], axis=1)
     sizes = [p.data.shape[1] for p in parts]
 
-    def back():
+    def back(g):
         ofs = 0
         for p, sz in zip(parts, sizes):
             if p.requires_grad:
-                p.accumulate(out.grad[:, ofs : ofs + sz])
+                p.accumulate(g[:, ofs : ofs + sz])
             ofs += sz
 
-    out = _node(out_data, tuple(parts), back)
-    return out
+    return _node(out_data, tuple(parts), back)
 
 
 def pad_reflect_last(a: Tensor, left: int, right: int) -> Tensor:
@@ -333,14 +319,13 @@ def pad_reflect_last(a: Tensor, left: int, right: int) -> Tensor:
     )
     out_data = a.data[..., idx]
 
-    def back():
+    def back(g):
         if a.requires_grad:
-            g = np.zeros_like(a.data)
-            np.add.at(g, (..., idx), out.grad)
-            a.accumulate(g)
+            ga = np.zeros_like(a.data)
+            np.add.at(ga, (..., idx), g)
+            a.accumulate(ga)
 
-    out = _node(out_data, (a,), back)
-    return out
+    return _node(out_data, (a,), back)
 
 
 def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1, dilation: int = 1) -> Tensor:
@@ -350,8 +335,7 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1, di
         out_data = out_data + bias.data[None, :, None]
     parents = (x, w) if bias is None else (x, w, bias)
 
-    def back():
-        g = out.grad
+    def back(g):
         if x.requires_grad:
             x.accumulate(kernels.conv1d_grad_x(g, w.data, stride, dilation, x.data.shape[2]))
         if w.requires_grad:
@@ -359,8 +343,7 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1, di
         if bias is not None and bias.requires_grad:
             bias.accumulate(g.sum(axis=(0, 2)))
 
-    out = _node(out_data, parents, back)
-    return out
+    return _node(out_data, parents, back)
 
 
 def conv_transpose1d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1) -> Tensor:
@@ -370,8 +353,7 @@ def conv_transpose1d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: i
         out_data = out_data + bias.data[None, :, None]
     parents = (x, w) if bias is None else (x, w, bias)
 
-    def back():
-        g = out.grad
+    def back(g):
         if x.requires_grad:
             x.accumulate(kernels.convt1d_grad_x(g, w.data, stride))
         if w.requires_grad:
@@ -379,8 +361,7 @@ def conv_transpose1d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: i
         if bias is not None and bias.requires_grad:
             bias.accumulate(g.sum(axis=(0, 2)))
 
-    out = _node(out_data, parents, back)
-    return out
+    return _node(out_data, parents, back)
 
 
 def stft_mag(x: Tensor, params: StftParams) -> Tensor:
@@ -401,11 +382,11 @@ def stft_mag(x: Tensor, params: StftParams) -> Tensor:
     spec = np.fft.rfft(frames, axis=2)
     mag = np.abs(spec)
 
-    def back():
+    def back(g):
         if not x.requires_grad:
             return
         phase = spec / np.maximum(mag, 1e-300)
-        g_spec = out.grad * phase  # dL/dRe + i dL/dIm, bin by bin
+        g_spec = g * phase  # dL/dRe + i dL/dIm, bin by bin
         # Adjoint of rfft on real input: halve interior bins, irfft, scale by N.
         g_spec = g_spec.copy()
         g_spec[..., 1 : (n_fft // 2)] *= 0.5
@@ -415,8 +396,7 @@ def stft_mag(x: Tensor, params: StftParams) -> Tensor:
         np.add.at(gx, (np.arange(x.data.shape[0])[:, None, None], idx[None, :, :]), g_frames)
         x.accumulate(gx)
 
-    out = _node(mag, (x,), back)
-    return out
+    return _node(mag, (x,), back)
 
 
 def mse(a: Tensor, b: Tensor) -> Tensor:

@@ -656,35 +656,6 @@ def upsample(
     return x
 
 
-def stitch_windows(
-    wav: Waveform,
-    stage: Stage,
-    n_steps: int = DEFAULT_N_STEPS,
-    rng: np.random.Generator | None = None,
-    window_frames: int | None = None,
-) -> Waveform:
-    """Single-stage upsample forced through the windowed sampler."""
-    if window_frames is not None:
-        cfg = stage.cfg
-        stage = Stage(
-            StageConfig(
-                target_sr=cfg.target_sr,
-                scale=cfg.scale,
-                degradation=cfg.degradation,
-                anytoany=cfg.anytoany,
-                augmentation=cfg.augmentation,
-                window_frames=window_frames,
-                lpf_before_resample=cfg.lpf_before_resample,
-                post_replace=cfg.post_replace,
-            ),
-            stage.codec,
-            stage.predictor,
-            stage.sched,
-            stage.scale,
-        )
-    return upsample(wav, [stage], n_steps=n_steps, rng=rng)
-
-
 # ------------------------------------------------------- augmentation search
 
 

@@ -45,11 +45,6 @@ class Conditioning:
             raise ValueError("need 0 < f_prior <= f_target")
 
 
-def quantize_f_target(f: float, grid_hz: float = 100.0) -> float:
-    """Snap a target bandwidth to the conditioning grid (nearest 100 Hz)."""
-    return round(f / grid_hz) * grid_hz
-
-
 def sinusoidal_embed(value: float, dim: int) -> np.ndarray:
     """Interleaved sin/cos embedding at geometric frequencies 1 .. 1e-4.
 

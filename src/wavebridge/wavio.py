@@ -14,11 +14,11 @@ positive full scale.
 
 from __future__ import annotations
 
-import os
 import struct
-import tempfile
 
 import numpy as np
+
+from .checkpoint import atomic_write_bytes
 
 _FMT_PCM = 1
 _FMT_FLOAT = 3
@@ -29,19 +29,6 @@ VALID_ENCODINGS = ("pcm16", "pcm24", "float32")
 
 class WavFormatError(ValueError):
     """Raised for files or arguments this reader/writer does not handle."""
-
-
-def _atomic_write(path: str, payload: bytes) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(prefix=".wavtmp", dir=d)
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def read_wav(path: str) -> tuple[np.ndarray, int]:
@@ -77,18 +64,20 @@ def read_wav(path: str) -> tuple[np.ndarray, int]:
     if channels != 1:
         raise WavFormatError(f"{path}: expected mono, got {channels} channels")
 
-    if tag == _FMT_PCM and bits == 16:
+    if (tag, bits) not in ((_FMT_PCM, 16), (_FMT_PCM, 24), (_FMT_FLOAT, 32)):
+        raise WavFormatError(f"{path}: unsupported format tag={tag} bits={bits}")
+    if len(data) % (bits // 8):
+        raise WavFormatError(f"{path}: data chunk of {len(data)} bytes is not a whole number of {bits}-bit samples")
+
+    if bits == 16:
         x = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
-    elif tag == _FMT_PCM and bits == 24:
-        raw = np.frombuffer(data, dtype=np.uint8)
-        raw = raw[: (len(raw) // 3) * 3].reshape(-1, 3).astype(np.int64)
+    elif bits == 24:
+        raw = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3).astype(np.int64)
         val = raw[:, 0] | (raw[:, 1] << 8) | (raw[:, 2] << 16)
         val = np.where(val >= 1 << 23, val - (1 << 24), val)  # sign extend
         x = val.astype(np.float64) / 8388608.0
-    elif tag == _FMT_FLOAT and bits == 32:
-        x = np.frombuffer(data, dtype="<f4").astype(np.float64)
     else:
-        raise WavFormatError(f"{path}: unsupported format tag={tag} bits={bits}")
+        x = np.frombuffer(data, dtype="<f4").astype(np.float64)
     return x, int(rate)
 
 
@@ -140,4 +129,4 @@ def write_wav(path: str, samples: np.ndarray, sample_rate: int, encoding: str = 
             pad,
         ]
     )
-    _atomic_write(path, out)
+    atomic_write_bytes(path, out)

@@ -12,7 +12,6 @@ from wavebridge.bridge import (
     forward_sample,
     loss_target,
     sample,
-    schedule_coeffs,
     sde_step,
     time_grid,
 )
@@ -84,14 +83,6 @@ def test_var_fwd_monotone_property(t1, t2):
     for sched in (TRI, CONST):
         assert sched.var_fwd(lo) <= sched.var_fwd(hi) + 1e-15
         assert 0.0 <= sched.var_fwd(t1) <= sched.var_total + 1e-15
-
-
-def test_schedule_coeffs_shape():
-    a, b, s_fwd, s_rev, s_tot = schedule_coeffs(TRI, 0.3)
-    assert a == 1.0 and b == 1.0
-    assert s_fwd == TRI.std_fwd(0.3)
-    assert s_rev == TRI.std_rev(0.3)
-    assert s_tot == TRI.std_total
 
 
 # ----------------------------------------------------------- forward marginal

@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavebridge.checkpoint import (
     MAGIC,
@@ -86,6 +88,34 @@ def test_truncated_payload_rejected(tmp_path, rng):
         f.write(raw[:-40])
     with pytest.raises(CheckpointError, match="truncated"):
         load_checkpoint(path)
+
+
+def test_cut_inside_header_length_rejected(tmp_path, rng):
+    path = str(tmp_path / "h.ckpt")
+    save_checkpoint(path, "codec", {}, _sample_tensors(rng))
+    with open(path, "rb") as f:
+        raw = f.read()
+    with open(path, "wb") as f:
+        f.write(raw[: len(MAGIC) + 2])
+    with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(path)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_truncated_file_loads_or_raises_named_error(tmp_path_factory, data):
+    path = str(tmp_path_factory.mktemp("cut") / "m.ckpt")
+    save_checkpoint(path, "codec", {"sample_rate": 8000}, _sample_tensors(np.random.default_rng(0)))
+    with open(path, "rb") as f:
+        raw = f.read()
+    cut = data.draw(st.integers(min_value=0, max_value=len(raw)))
+    with open(path, "wb") as f:
+        f.write(raw[:cut])
+    try:
+        kind, _, tensors, _ = load_checkpoint(path)
+    except CheckpointError:
+        return
+    assert kind == "codec" and sorted(tensors) == ["enc.b", "enc.w", "gain"]
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):

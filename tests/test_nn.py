@@ -1,5 +1,7 @@
 """Autodiff engine: finite-difference gradients for every op, Adam, layers."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -247,3 +249,21 @@ def test_small_net_end_to_end_gradients(rng):
         return nn.mse(deconv(nn.tanh(conv(x))), target)
     worst = nn.grad_check(loss, params, rng, n_samples=sum(p.data.size for p in params))
     assert worst < 1e-5
+
+
+def test_graph_is_freed_without_cycle_collector(rng):
+    # A dropped graph must be freed by reference counting alone.
+    conv = nn.Conv1d(1, 3, 4, rng, stride=2)
+    deconv = nn.ConvT1d(3, 1, 4, rng, stride=2)
+    x = nn.Tensor(rng.standard_normal((2, 1, 256)), requires_grad=True)
+    gc.collect()
+    gc.disable()
+    try:
+        y = nn.reshape(deconv(nn.tanh(conv(x))), (2, 256))
+        loss = nn.tmean(nn.stft_mag(y, StftParams(64, 16)))
+        nn.backward(loss)
+        assert x.grad is not None and conv.w.grad is not None
+        del y, loss
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -8,7 +8,6 @@ from wavebridge.predictor import (
     Conditioning,
     Predictor,
     PredictorConfig,
-    quantize_f_target,
     sinusoidal_embed,
 )
 
@@ -44,13 +43,6 @@ def test_embed_validation():
         sinusoidal_embed(1.0, 7)
     with pytest.raises(ValueError):
         sinusoidal_embed(1.0, 0)
-
-
-def test_quantize_f_target():
-    assert quantize_f_target(4037.0) == 4000.0
-    assert quantize_f_target(4050.0) == 4000.0 or quantize_f_target(4050.0) == 4100.0
-    assert quantize_f_target(3951.0) == 4000.0
-    assert quantize_f_target(12000.0) == 12000.0
 
 
 # ------------------------------------------------------------- conditioning

@@ -2,6 +2,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavebridge.wavio import VALID_ENCODINGS, WavFormatError, read_wav, write_wav
 
@@ -113,3 +115,33 @@ def test_no_partial_file_on_error(tmp_path):
     with pytest.raises(WavFormatError):
         write_wav(target, np.array([np.inf]), 8000)
     assert not os.path.exists(target)
+
+
+def test_read_odd_length_pcm16_data_rejected(tmp_path, rng):
+    p = str(tmp_path / "odd.wav")
+    write_wav(p, rng.uniform(-0.5, 0.5, 100), 8000, encoding="pcm16")
+    with open(p, "rb") as f:
+        raw = f.read()
+    with open(p, "wb") as f:
+        f.write(raw[:-1])
+    with pytest.raises(WavFormatError, match="whole number"):
+        read_wav(p)
+
+
+@given(encoding=st.sampled_from(VALID_ENCODINGS), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_read_truncated_file_loads_or_raises_named_error(tmp_path_factory, encoding, data):
+    d = tmp_path_factory.mktemp("cut")
+    p = str(d / "a.wav")
+    write_wav(p, np.linspace(-0.5, 0.5, 37), 8000, encoding=encoding)
+    with open(p, "rb") as f:
+        raw = f.read()
+    cut = data.draw(st.integers(min_value=0, max_value=len(raw)))
+    with open(p, "wb") as f:
+        f.write(raw[:cut])
+    try:
+        y, sr = read_wav(p)
+    except WavFormatError:
+        return
+    assert sr == 8000
+    assert len(y) <= 37 and np.all(np.isfinite(y))
