@@ -16,6 +16,7 @@ smoothed max. That configuration hits 100/100 within +/-10% on 1 s clips.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,8 +93,12 @@ def estimate_f_eff(wav: Waveform, cfg: EstimatorConfig | None = None) -> Bandwid
     genuinely full-band content both return the Nyquist frequency.
     """
     cfg = cfg or EstimatorConfig()
-    if wav.duration < MIN_CLIP_SECONDS:
-        raise ValueError(f"clip too short for bandwidth estimation: {wav.duration:.3f} s < {MIN_CLIP_SECONDS} s")
+    need = math.ceil(MIN_CLIP_SECONDS * wav.sample_rate)
+    if len(wav) < need:
+        raise ValueError(
+            f"clip too short for bandwidth estimation: {len(wav)} samples < {need} "
+            f"({MIN_CLIP_SECONDS} s at {wav.sample_rate} Hz)"
+        )
     nyq = wav.nyquist
 
     mag = magnitude_spectrum(wav, window=cfg.window)

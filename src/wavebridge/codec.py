@@ -132,7 +132,7 @@ class Codec:
             h = nn.tanh(layer(h))
         return self.dec_out(h)
 
-    # ----------------------------------------------------- numpy-facing API
+    # ------------------------------------------- numpy-facing API, no graph
 
     def encode(self, wav: Waveform, mode: str = "mean", rng: np.random.Generator | None = None) -> Latent:
         """Encode a waveform; mode 'mean' is deterministic, 'sample' draws."""
@@ -140,8 +140,8 @@ class Codec:
             raise ValueError(f"codec trained at {self.cfg.sample_rate} Hz, input is {wav.sample_rate} Hz")
         if len(wav) < self.cfg.ratio:
             raise ValueError(f"input of {len(wav)} samples shorter than one frame ({self.cfg.ratio})")
-        x = nn.Tensor(wav.samples[None, None, :])
-        mu, logvar = self.encode_dist(x)
+        with nn.no_grad():
+            mu, logvar = self.encode_dist(nn.Tensor(wav.samples[None, None, :]))
         if mode == "mean":
             z = mu.data[0]
         elif mode == "sample":
@@ -154,8 +154,8 @@ class Codec:
 
     def decode(self, z: Latent | np.ndarray, length: int | None = None) -> Waveform:
         data = z.data if isinstance(z, Latent) else np.asarray(z, dtype=np.float64)
-        out = self.decode_graph(nn.Tensor(data[None]))
-        y = out.data[0, 0]
+        with nn.no_grad():
+            y = self.decode_graph(nn.Tensor(data[None])).data[0, 0]
         if length is not None:
             y = y[:length]
         return Waveform(y, self.cfg.sample_rate)

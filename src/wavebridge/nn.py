@@ -9,6 +9,11 @@ backward pass is the rfft adjoint). Everything runs in float64 so central
 finite differences agree with analytic gradients to ~1e-6, which the
 grad_check utility (and an acceptance gate) enforces.
 
+Inside `with no_grad():` operations record no graph: outputs carry
+requires_grad False and hold no parents or backward closure, so a forward
+pass keeps only the activations still in use. The switch is per thread, so
+a graph built on one thread is unaffected by another thread's block.
+
 No broadcasting surprises: binary ops follow numpy broadcasting and gradients
 are summed back over broadcast axes.
 """
@@ -16,6 +21,8 @@ are summed back over broadcast axes.
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -70,12 +77,30 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+class _GradMode(threading.local):
+    enabled = True
+
+
+_GRAD_MODE = _GradMode()
+
+
+@contextmanager
+def no_grad():
+    """Build no autodiff graph on this thread until the block exits."""
+    prev = _GRAD_MODE.enabled
+    _GRAD_MODE.enabled = False
+    try:
+        yield
+    finally:
+        _GRAD_MODE.enabled = prev
+
+
 def _node(data, parents, backward_fn) -> Tensor:
     # backward_fn receives the output gradient as its argument instead of
     # reading it off the output, so a graph holds no reference cycle and is
     # freed without the cyclic garbage collector.
     out = Tensor(data)
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out.requires_grad = _GRAD_MODE.enabled and any(p.requires_grad for p in parents)
     if out.requires_grad:
         out._parents = tuple(parents)
         out._backward = backward_fn

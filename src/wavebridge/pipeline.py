@@ -211,15 +211,11 @@ def prepare_anytoany_pair(
     """
     if f_eff is None:
         f_eff = estimate_f_eff(wav, est_cfg).f_eff
-    if f_eff < target_cfg.min_usable_hz:
-        return None
-
     nyq = wav.nyquist
-    lo_t, hi_t = target_cfg.f_target_range
-    hi_t = min(hi_t, f_eff, nyq)
-    if hi_t <= target_cfg.min_usable_hz:
+    hi_t = _target_ceiling(f_eff, nyq, target_cfg)
+    if hi_t is None:
         return None
-    lo_t = min(lo_t, hi_t)
+    lo_t = min(target_cfg.f_target_range[0], hi_t)
     f_target = hi_t if lo_t == hi_t else float(rng.uniform(lo_t, hi_t))
 
     if f_target >= FULL_BAND_FRAC * nyq:
@@ -233,6 +229,14 @@ def prepare_anytoany_pair(
     sections = design_lowpass(spec, wav.sample_rate)
     x_lr = apply_filter(x_hr, sections, zero_phase=True)
     return TrainPair(x_hr, x_lr, f_prior, f_target)
+
+
+def _target_ceiling(f_eff: float, nyquist: float, target_cfg: AnyToAnyConfig) -> float | None:
+    """Highest target band a clip of bandwidth f_eff allows, or None if it is unusable."""
+    if f_eff < target_cfg.min_usable_hz:
+        return None
+    hi_t = min(target_cfg.f_target_range[1], f_eff, nyquist)
+    return hi_t if hi_t > target_cfg.min_usable_hz else None
 
 
 def blur_latent(z, blur_ratio: float, half_width: int = 2):
@@ -279,9 +283,14 @@ def augment_prior(
 # ------------------------------------------------------------ stage training
 
 
+class NoUsableClipsError(ValueError):
+    """No clip of a first-stage corpus can yield an any-to-any training pair."""
+
+
 def _encode_batch(codec: Codec, batch: np.ndarray, scale: float) -> np.ndarray:
     """Posterior-mean latents for a (N, L) batch, rescaled for the bridge."""
-    mu, _ = codec.encode_dist(nn.Tensor(batch[:, None, :]))
+    with nn.no_grad():
+        mu, _ = codec.encode_dist(nn.Tensor(batch[:, None, :]))
     return mu.data * scale
 
 
@@ -335,9 +344,21 @@ def train_stage(
     trace: list[tuple[int, float]] = []
 
     # Bandwidth detection is too unstable on short crops, so estimate once per
-    # clip and filter full clips before cropping.
-    f_eff_cache = [estimate_f_eff(w).f_eff for w in corpus] if not cascade else None
-    prior_band = codec.cfg.sample_rate / 4.0 if cascade else None
+    # clip and filter full clips before cropping. The cascade prior band is
+    # fixed, so each clip is low-passed to it once.
+    if cascade:
+        prior_band = codec.cfg.sample_rate / 4.0
+        prior_cache = [lowpass(w, prior_band) for w in corpus]
+    else:
+        f_eff_cache = [estimate_f_eff(w).f_eff for w in corpus]
+        a2a = stage_cfg.anytoany
+        if all(_target_ceiling(f, w.nyquist, a2a) is None for w, f in zip(corpus, f_eff_cache)):
+            raise NoUsableClipsError(
+                f"all {len(corpus)} clips rejected: a target band must exceed min_usable_hz="
+                f"{a2a.min_usable_hz:g} Hz, but the detected bandwidths are "
+                f"{min(f_eff_cache):.0f}-{max(f_eff_cache):.0f} Hz and f_target_range ends at "
+                f"{a2a.f_target_range[1]:g} Hz"
+            )
 
     for step in range(steps):
         hr_crops, cond_crops, priors, targets, blurs = [], [], [], [], []
@@ -347,8 +368,7 @@ def train_stage(
             if cascade:
                 aug = stage_cfg.augmentation
                 margin = float(rng.uniform(0.0, aug.train_margin_max_hz))
-                prior_full = lowpass(clip, prior_band)
-                prior_aug = augment_prior(prior_full, prior_band, margin)
+                prior_aug = augment_prior(prior_cache[ci], prior_band, margin)
                 pair = TrainPair(clip, prior_aug, prior_band - margin, codec.cfg.sample_rate / 2.0)
                 blurs.append(float(rng.uniform(0.0, aug.blur_max)))
             else:
@@ -534,7 +554,8 @@ def _sample_stitched(
             f_target=np.full(k, cond_vals["f_target"]),
             blur_ratio=None if blur is None else np.full(k, blur),
         )
-        eps_hat = predictor.forward(nn.Tensor(zw), cond, nn.Tensor(cw)).data
+        with nn.no_grad():
+            eps_hat = predictor.forward(nn.Tensor(zw), cond, nn.Tensor(cw)).data
         acc = np.zeros_like(z)
         cnt = np.zeros(length)
         for j, st in enumerate(starts):

@@ -45,8 +45,8 @@ class Conditioning:
             raise ValueError("need 0 < f_prior <= f_target")
 
 
-def sinusoidal_embed(value: float, dim: int) -> np.ndarray:
-    """Interleaved sin/cos embedding at geometric frequencies 1 .. 1e-4.
+def sinusoidal_embed(values: np.ndarray, dim: int) -> np.ndarray:
+    """Interleaved sin/cos embeddings (N, dim) of N values at geometric frequencies 1 .. 1e-4.
 
     Each (sin, cos) pair has unit norm; value 0 maps to (0, 1) pairs.
     """
@@ -55,15 +55,11 @@ def sinusoidal_embed(value: float, dim: int) -> np.ndarray:
     pairs = dim // 2
     exponents = np.arange(pairs) / max(pairs - 1, 1)
     freqs = 10.0 ** (-4.0 * exponents)
-    ang = value * freqs
-    out = np.empty(dim)
-    out[0::2] = np.sin(ang)
-    out[1::2] = np.cos(ang)
+    ang = np.asarray(values, dtype=np.float64).reshape(-1, 1) * freqs
+    out = np.empty((ang.shape[0], dim))
+    out[:, 0::2] = np.sin(ang)
+    out[:, 1::2] = np.cos(ang)
     return out
-
-
-def _embed_batch(values: np.ndarray, dim: int) -> np.ndarray:
-    return np.stack([sinusoidal_embed(float(v), dim) for v in np.atleast_1d(values)])
 
 
 @dataclass
@@ -142,14 +138,14 @@ class Predictor:
     def _tokens(self, cond: Conditioning) -> list[nn.Tensor]:
         e = self.cfg.embed_dim
         toks = [
-            self.tok_t(nn.Tensor(_embed_batch(cond.t * TIME_EMBED_SCALE, e))),
-            self.tok_fp(nn.Tensor(_embed_batch(cond.f_prior, e))),
-            self.tok_ft(nn.Tensor(_embed_batch(cond.f_target, e))),
+            self.tok_t(nn.Tensor(sinusoidal_embed(cond.t * TIME_EMBED_SCALE, e))),
+            self.tok_fp(nn.Tensor(sinusoidal_embed(cond.f_prior, e))),
+            self.tok_ft(nn.Tensor(sinusoidal_embed(cond.f_target, e))),
         ]
         if self.cfg.use_blur_token:
             if cond.blur_ratio is None:
                 raise ValueError("this predictor expects a blur_ratio in its conditioning")
-            toks.append(self.tok_blur(nn.Tensor(_embed_batch(cond.blur_ratio * BLUR_EMBED_SCALE, e))))
+            toks.append(self.tok_blur(nn.Tensor(sinusoidal_embed(cond.blur_ratio * BLUR_EMBED_SCALE, e))))
         elif cond.blur_ratio is not None:
             raise ValueError("blur_ratio given but this predictor has no blur token")
         return [nn.reshape(tk, (tk.shape[0], tk.shape[1], 1)) for tk in toks]
@@ -179,5 +175,5 @@ class Predictor:
             f_target=np.array([f_target]),
             blur_ratio=None if blur_ratio is None else np.array([blur_ratio]),
         )
-        out = self.forward(nn.Tensor(z_t[None]), cond, nn.Tensor(z_cond[None]))
-        return out.data[0]
+        with nn.no_grad():
+            return self.forward(nn.Tensor(z_t[None]), cond, nn.Tensor(z_cond[None])).data[0]

@@ -93,6 +93,13 @@ def test_estimate_rejects_short_clip():
         estimate_f_eff(Waveform(np.zeros(1000), 8000))  # 0.125 s
 
 
+def test_short_clip_message_shows_sample_counts():
+    # 999 samples at 4 kHz is 0.24975 s, which three decimals print as 0.250
+    with pytest.raises(ValueError, match="999 samples < 1000"):
+        estimate_f_eff(Waveform(np.zeros(999), 4000))
+    estimate_f_eff(Waveform(np.zeros(1000), 4000))  # exactly 0.25 s is enough
+
+
 def test_estimate_scale_invariance():
     wav = _degraded_noise(6000.0, seed=3)
     base = estimate_f_eff(wav)

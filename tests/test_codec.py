@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wavebridge import toydata
+from wavebridge import nn, toydata
 from wavebridge.codec import (
     Codec,
     CodecConfig,
@@ -93,6 +93,23 @@ def test_decode_length_trim(rng):
     assert out.sample_rate == 8000
     full = codec.decode(z)
     assert len(full) == z.data.shape[1] * 16
+
+
+def test_encode_decode_same_bytes_as_graph_paths(rng):
+    # encode/decode build no graph; the graph-building paths vae_loss uses
+    # must give the same bytes
+    codec = _codec()
+    w = Waveform(rng.standard_normal(1024), 8000)
+    mu, _ = codec.encode_dist(nn.Tensor(w.samples[None, None, :]))
+    assert mu.requires_grad
+    z = codec.encode(w)
+    assert np.array_equal(z.data, mu.data[0])
+    y = codec.decode_graph(nn.Tensor(z.data[None]))
+    assert y.requires_grad
+    assert np.array_equal(codec.decode(z).samples, y.data[0, 0])
+    with nn.no_grad():
+        assert np.array_equal(codec.encode(w).data, z.data)
+        assert np.array_equal(codec.decode(z).samples, y.data[0, 0])
 
 
 def test_encode_shift_by_one_frame(rng):

@@ -267,3 +267,62 @@ def test_graph_is_freed_without_cycle_collector(rng):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------- no-graph mode
+
+def test_no_grad_outputs_carry_no_graph(rng):
+    conv = nn.Conv1d(1, 3, 4, rng, stride=2)
+    x = nn.Tensor(rng.standard_normal((2, 1, 256)), requires_grad=True)
+    with nn.no_grad():
+        h = conv(x)
+        outs = [h, nn.tanh(h), nn.concat_last([h, h]), nn.stft_mag(nn.reshape(h, (2, 384)), StftParams(64, 16))]
+    for out in outs:
+        assert out.requires_grad is False
+        assert out._parents == () and out._backward is None
+
+
+def test_graphs_build_again_after_no_grad(rng):
+    a = _param(rng, 3)
+    with nn.no_grad():
+        pass
+    assert nn.tanh(a).requires_grad
+    with pytest.raises(RuntimeError):
+        with nn.no_grad():
+            raise RuntimeError("leave the block by an exception")
+    loss = nn.tsum(nn.tanh(a))
+    assert loss.requires_grad and loss._parents
+    nn.backward(loss)
+    assert np.array_equal(a.grad, 1.0 - np.tanh(a.data) ** 2)
+
+
+def test_no_grad_is_per_thread(rng):
+    # Blocks on two threads that overlap and exit out of order (main enters,
+    # worker enters, main exits, worker exits) leave graph building on for both.
+    import threading
+
+    a = _param(rng, 4)
+    worker_in, main_out = threading.Event(), threading.Event()
+    seen = {}
+
+    def worker():
+        b = _param(np.random.default_rng(0), 4)
+        loss = nn.tsum(nn.tanh(b))  # built while the main thread is inside no_grad
+        nn.backward(loss)
+        seen["grad"] = b.grad
+        with nn.no_grad():
+            worker_in.set()
+            main_out.wait(10)
+        seen["after"] = nn.tanh(b).requires_grad
+
+    with nn.no_grad():
+        t = threading.Thread(target=worker)
+        t.start()
+        worker_in.wait(10)
+        assert not nn.tanh(a).requires_grad
+    main_out.set()
+    t.join(10)
+    assert not t.is_alive()
+    assert seen["grad"] is not None and np.all(seen["grad"] > 0)
+    assert seen["after"]
+    assert nn.tanh(a).requires_grad

@@ -12,6 +12,7 @@ from wavebridge.pipeline import (
     AugmentConfig,
     BlurKernel,
     DegradationPolicy,
+    NoUsableClipsError,
     Stage,
     StageConfig,
     _sample_stitched,
@@ -329,6 +330,23 @@ def test_train_stage_validation():
     with pytest.raises(ValueError):
         train_stage(wrong_rate, codec, 1.0, StageConfig(target_sr=8000, augmentation=AugmentConfig()),
                     steps=1, rng=np.random.default_rng(0))
+
+
+def test_train_stage_rejects_corpus_without_usable_clip():
+    # noise low-passed at 500 Hz reads below min_usable_hz, so no clip can
+    # yield a pair; training must say so instead of drawing forever
+    rng = np.random.default_rng(5)
+    corpus = [lowpass(Waveform(rng.standard_normal(8192) * 0.3, 8000), 500.0) for _ in range(3)]
+    cfg = StageConfig(
+        target_sr=8000,
+        degradation=DegradationPolicy(cutoff_range=(1000.0, 3000.0)),
+        anytoany=AnyToAnyConfig(f_target_range=(2000.0, 4000.0)),
+    )
+    with pytest.raises(NoUsableClipsError, match="all 3 clips rejected"):
+        train_stage(
+            corpus, _small_codec(), 1.0, cfg, steps=1, rng=np.random.default_rng(0),
+            predictor_cfg=SMALL_PRED, batch_size=2, crop_latent_frames=32,
+        )
 
 
 # ------------------------------------------------------- checkpoints, stages

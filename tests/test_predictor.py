@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavebridge import nn
 from wavebridge.predictor import (
@@ -21,28 +23,46 @@ def _make(cfg=SMALL, seed=0):
 # -------------------------------------------------------------- embeddings
 
 def test_embed_pairs_have_unit_norm():
-    v = sinusoidal_embed(1234.5, 64)
+    v = sinusoidal_embed(np.array([1234.5]), 64)[0]
     pairs = v.reshape(-1, 2)
     assert np.max(np.abs(np.sum(pairs**2, axis=1) - 1.0)) < 1e-12
 
 
 def test_embed_zero_is_sin0_cos1():
-    v = sinusoidal_embed(0.0, 8)
+    v = sinusoidal_embed(np.array([0.0]), 8)[0]
     assert np.array_equal(v[0::2], np.zeros(4))
     assert np.array_equal(v[1::2], np.ones(4))
 
 
 def test_embed_distinguishes_values():
-    a = sinusoidal_embed(2000.0, 64)
-    b = sinusoidal_embed(4000.0, 64)
+    a = sinusoidal_embed(np.array([2000.0]), 64)[0]
+    b = sinusoidal_embed(np.array([4000.0]), 64)[0]
     assert np.linalg.norm(a - b) > 0.1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.lists(st.floats(0.0, 5e4, allow_nan=False), min_size=1, max_size=40),
+    dim=st.sampled_from([2, 8, 16, 64]),
+)
+def test_embed_rows_match_per_value_formula(values, dim):
+    # t * 1e3, bands in Hz and blur * 1e4 all fall in [0, 5e4]; each row must be
+    # the bytes of the per-value formula the batched embedding replaced
+    pairs = dim // 2
+    freqs = 10.0 ** (-4.0 * (np.arange(pairs) / max(pairs - 1, 1)))
+    want = np.empty((len(values), dim))
+    for i, v in enumerate(values):
+        ang = v * freqs
+        want[i, 0::2] = np.sin(ang)
+        want[i, 1::2] = np.cos(ang)
+    assert np.array_equal(sinusoidal_embed(np.array(values), dim), want)
 
 
 def test_embed_validation():
     with pytest.raises(ValueError):
-        sinusoidal_embed(1.0, 7)
+        sinusoidal_embed(np.array([1.0]), 7)
     with pytest.raises(ValueError):
-        sinusoidal_embed(1.0, 0)
+        sinusoidal_embed(np.array([1.0]), 0)
 
 
 # ------------------------------------------------------------- conditioning
@@ -133,6 +153,18 @@ def test_forward_is_deterministic(rng):
     b = p.predict_eps(z, 0.5, zc, 2000.0, 4000.0)
     assert np.array_equal(a, b)
     assert a.shape == (2, 16)
+
+
+def test_forward_same_bytes_without_graph(rng):
+    p = _nudge(_make(PredictorConfig(latent_channels=2, width=8, kernel=3, dilations=(1, 2), embed_dim=16, use_blur_token=True)))
+    z = nn.Tensor(rng.standard_normal((3, 2, 12)))
+    zc = nn.Tensor(rng.standard_normal((3, 2, 12)))
+    cond = Conditioning(t=[0.1, 0.5, 0.9], f_prior=[1000.0, 2000.0, 3000.0], f_target=np.full(3, 4000.0), blur_ratio=[0.0, 0.3, 1.0])
+    with_graph = p.forward(z, cond, zc)
+    with nn.no_grad():
+        without = p.forward(z, cond, zc)
+    assert with_graph.requires_grad and not without.requires_grad
+    assert np.array_equal(with_graph.data, without.data)
 
 
 def test_param_count_and_names(rng):
