@@ -1,5 +1,6 @@
 """Bridge-process numerics: noise schedule, forward marginal, training target,
-endpoint estimate, and the first-order SDE sampler.
+endpoint estimate, and the first-order SDE sampler loop that every sampler
+(bridge.sample, the stitched sampler in pipeline) runs.
 
 The process runs on [0, 1] between fixed endpoints z0 (target) and zT (prior)
 with zero drift, so both drift scalings are identically 1 and the marginal at
@@ -157,21 +158,30 @@ def time_grid(n_steps: int) -> np.ndarray:
     return np.linspace(1.0, 0.0, n_steps + 1)
 
 
-def sample(predict_eps, zT: np.ndarray, n_steps: int, rng: np.random.Generator, sched: BridgeSchedule) -> np.ndarray:
-    """Run the sampler from the prior endpoint down to time 0.
+def run_sampler(estimate, zT: np.ndarray, n_steps: int, rng: np.random.Generator, sched: BridgeSchedule) -> np.ndarray:
+    """The sampler loop: from the prior endpoint down to time 0.
 
-    predict_eps(z_t, t) -> eps_hat must be a pure function (any conditioning
-    is bound by the caller). Noise comes only from rng, so a fixed seed gives
-    a bit-identical trajectory. Raises on non-finite states, naming the step.
+    estimate(z_s, s, i) -> z0_hat gives the endpoint estimate at step i, time
+    s. Each step draws one z-shaped standard-normal array from rng and takes
+    one sde_step, so a fixed seed gives a bit-identical trajectory. Raises on
+    non-finite states, naming the step.
     """
     grid = time_grid(n_steps)
     z = np.asarray(zT, dtype=np.float64).copy()
     for i in range(n_steps):
         s, t = float(grid[i]), float(grid[i + 1])
-        eps_hat = np.asarray(predict_eps(z, s), dtype=np.float64)
-        z0_hat = estimate_z0(z, eps_hat, s, sched)
+        z0_hat = estimate(z, s, i)
         noise = rng.standard_normal(z.shape)
         z = sde_step(z, z0_hat, s, t, noise, sched)
         if not np.all(np.isfinite(z)):
             raise RuntimeError(f"sampler produced non-finite state at step {i} (t={t:.4f})")
     return z
+
+
+def sample(predict_eps, zT: np.ndarray, n_steps: int, rng: np.random.Generator, sched: BridgeSchedule) -> np.ndarray:
+    """run_sampler with a noise predictor.
+
+    predict_eps(z_t, t) -> eps_hat must be a pure function (any conditioning
+    is bound by the caller).
+    """
+    return run_sampler(lambda z, s, i: estimate_z0(z, predict_eps(z, s), s, sched), zT, n_steps, rng, sched)

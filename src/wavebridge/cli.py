@@ -29,9 +29,9 @@ from .bandwidth import estimate_f_eff
 from .checkpoint import atomic_write_bytes
 from .codec import fit_latent_scale, train_codec
 from .config import ConfigError, parse_codec_config, parse_policy_file, parse_stage_config
-from .dsp import StftParams, Waveform, apply_filter, design_lowpass, stft
+from .dsp import StftParams, Waveform, stft
 from .metrics import lsd, lsd_band, spectral_ssim
-from .pipeline import Stage, load_codec, save_codec, save_predictor, train_stage, tune_augmentation, upsample
+from .pipeline import Stage, load_codec, save_codec, save_predictor, simulate_lr, train_stage, tune_augmentation, upsample
 from .toydata import ToyConfig, make_clip
 from .wavio import WavFormatError, read_wav, write_wav
 
@@ -141,12 +141,9 @@ def cmd_degrade(args) -> int:
 
     def one(item):
         name, wav = item
-        policy.validate_rate(wav.sample_rate)
-        rng = _rng_for(args.seed, name)
-        spec, cutoff = policy.draw(rng)
-        lr = apply_filter(wav, design_lowpass(spec, wav.sample_rate), zero_phase=True)
+        lr, spec = simulate_lr(wav, policy, _rng_for(args.seed, name))
         write_wav(os.path.join(args.out_dir, name), lr.samples, lr.sample_rate, encoding="float32")
-        return (name, f"{cutoff:.4f}", spec.family, spec.order)
+        return (name, f"{spec.cutoff_hz:.4f}", spec.family, spec.order)
 
     rows = _map_ordered(one, corpus)
     _write_csv(os.path.join(args.out_dir, "cutoffs.csv"), ["file", "cutoff_hz", "family", "order"], rows)

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .dsp import StftParams, Waveform
-from .metrics import MRSTFT_FLOOR, MrStftConfig
+from .dsp import Waveform
+from .metrics import MrStftConfig, mrstft
 
 
 @dataclass
@@ -162,10 +162,10 @@ class Codec:
 
 
 def vae_loss(codec: Codec, batch: np.ndarray, rng: np.random.Generator, mr_cfg: MrStftConfig) -> tuple[nn.Tensor, float, float]:
-    """MR-STFT reconstruction + kl_weight * KL on a (N, L) batch.
+    """metrics.mrstft reconstruction + kl_weight * KL on a (N, L) batch.
 
     Returns (loss tensor, recon value, kl value). The reconstruction term is
-    the batch mean of the same quantity metrics.mrstft_loss computes.
+    the batch mean of per-clip metrics.mrstft_loss values.
     """
     n, length = batch.shape
     x = nn.Tensor(batch[:, None, :])
@@ -174,21 +174,7 @@ def vae_loss(codec: Codec, batch: np.ndarray, rng: np.random.Generator, mr_cfg: 
     z = mu + nn.exp(nn.Tensor(0.5) * logvar) * nn.Tensor(noise)
     recon = codec.decode_graph(z)
     recon = nn.reshape(nn.slice_last(recon, 0, length), (n, length))
-
-    total = None
-    for params in mr_cfg.resolutions:
-        ref_mag = np.maximum(_ref_mags(batch, params), MRSTFT_FLOOR)  # (N, T, F)
-        est = nn.maximum_const(nn.stft_mag(recon, params), MRSTFT_FLOOR)
-        ref = nn.Tensor(ref_mag)
-        diff = est - ref
-        sc_num = nn.sqrt(nn.tsum(diff * diff, axis=(1, 2)))
-        sc_den = 1.0 / np.sqrt(np.sum(ref.data**2, axis=(1, 2)))
-        sc = nn.tmean(sc_num * nn.Tensor(sc_den))
-        log_diff = nn.absolute(nn.log(est) - nn.log(ref))
-        frames = est.shape[1]
-        log_term = nn.tmean(nn.tsum(log_diff, axis=(1, 2)) * nn.Tensor(1.0 / frames))
-        term = sc + log_term
-        total = term if total is None else total + term
+    total = mrstft(recon, batch, mr_cfg)
 
     # KL(q || N(0,1)) summed over latent entries, mean over the batch
     kl_each = nn.Tensor(-0.5) * nn.tsum(
@@ -197,15 +183,6 @@ def vae_loss(codec: Codec, batch: np.ndarray, rng: np.random.Generator, mr_cfg: 
     kl = nn.tmean(kl_each)
     loss = total + nn.Tensor(codec.cfg.kl_weight) * kl
     return loss, float(total.data), float(kl.data)
-
-
-def _ref_mags(batch: np.ndarray, params: StftParams) -> np.ndarray:
-    """Constant-side magnitude STFTs, shaped (N, T, F) to match nn.stft_mag."""
-    n_fft, hop = params.fft_size, params.hop
-    win = params.window_values()
-    nframes = 1 + (batch.shape[1] - n_fft) // hop
-    idx = np.arange(n_fft)[None, :] + (hop * np.arange(nframes))[:, None]
-    return np.abs(np.fft.rfft(batch[:, idx] * win[None, None, :], axis=2))
 
 
 def train_codec(

@@ -153,7 +153,6 @@ def parse_stage_config(path: str) -> tuple[StageConfig, TrainParams, BridgeSched
         anytoany=anytoany,
         augmentation=augmentation,
         window_frames=_get(cp, path, "stage", "window_frames", int, 64),
-        lpf_before_resample=_get(cp, path, "stage", "lpf_before_resample", bool, True),
         post_replace=_get(cp, path, "stage", "post_replace", bool, False),
     )
 

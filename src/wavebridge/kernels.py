@@ -16,10 +16,6 @@ import numpy as np
 BACKEND = "numpy"
 
 
-def conv1d_out_len(length: int, k: int, stride: int, dilation: int) -> int:
-    return (length - (k - 1) * dilation - 1) // stride + 1
-
-
 def _c(a):
     return np.ascontiguousarray(a, dtype=np.float64)
 

@@ -1,9 +1,9 @@
 """Objective audio metrics.
 
 lsd / lsd_band / spectral_ssim compare spectrograms (see dsp.stft);
-mrstft_loss compares waveforms across several STFT resolutions and doubles as
-the codec's reconstruction loss (nn.stft_mag implements the identical framing
-differentiably, and a test pins the two to each other).
+mrstft compares batched waveforms across several STFT resolutions as an
+autodiff graph on nn.stft_mag frames. The codec trains on it, and
+mrstft_loss evaluates the same graph on one waveform pair.
 
 Conventions, fixed across the package:
   - LSD uses log10 on squared magnitudes floored at 1e-8, root-mean over
@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import nn
 from .dsp import Spectrogram, StftParams, Waveform
 
 LSD_FLOOR = 1e-8
@@ -113,38 +114,35 @@ def spectral_ssim(ref: Spectrogram, est: Spectrogram, cfg: SsimConfig | None = N
     return float(np.mean(num / den))
 
 
-def frame_signal(x: np.ndarray, fft_size: int, hop: int) -> np.ndarray:
-    """Frames without padding: shape (1 + (L - fft_size)//hop, fft_size)."""
-    if len(x) < fft_size:
-        raise ValueError(f"signal of {len(x)} samples shorter than fft_size {fft_size}")
-    nframes = 1 + (len(x) - fft_size) // hop
-    idx = np.arange(fft_size)[None, :] + (hop * np.arange(nframes))[:, None]
-    return x[idx]
+def mrstft(est: nn.Tensor, ref: np.ndarray, cfg: MrStftConfig) -> nn.Tensor:
+    """Multi-resolution STFT distance of (N, L) waveforms, mean over the batch.
 
-
-def stft_magnitudes(x: np.ndarray, params: StftParams) -> np.ndarray:
-    """Magnitude STFT with the loss framing convention, shape F x T."""
-    frames = frame_signal(x, params.fft_size, params.hop) * params.window_values()[None, :]
-    return np.abs(np.fft.rfft(frames, axis=1)).T
+    Per resolution and item: ||Mr - Me||_F / ||Mr||_F + (1/T) * sum |ln(Mr/Me)|,
+    with Mr/Me the floored magnitude STFTs of ref/est. Gradients flow into est
+    only; ref is a constant. Zero iff the waveforms match up to the floor.
+    """
+    total = None
+    for params in cfg.resolutions:
+        ref_t = nn.Tensor(np.maximum(nn.stft_mag(nn.Tensor(ref), params).data, MRSTFT_FLOOR))  # (N, T, F)
+        est_t = nn.maximum_const(nn.stft_mag(est, params), MRSTFT_FLOOR)
+        diff = est_t - ref_t
+        sc_num = nn.sqrt(nn.tsum(diff * diff, axis=(1, 2)))
+        sc_den = 1.0 / np.sqrt(np.sum(ref_t.data**2, axis=(1, 2)))
+        sc = nn.tmean(sc_num * nn.Tensor(sc_den))
+        log_diff = nn.absolute(nn.log(est_t) - nn.log(ref_t))
+        frames = est_t.shape[1]
+        log_term = nn.tmean(nn.tsum(log_diff, axis=(1, 2)) * nn.Tensor(1.0 / frames))
+        term = sc + log_term
+        total = term if total is None else total + term
+    return total
 
 
 def mrstft_loss(ref: Waveform, est: Waveform, cfg: MrStftConfig | None = None) -> float:
-    """Multi-resolution STFT distance (spectral convergence + log-L1 terms).
-
-    Per resolution: ||Mr - Me||_F / ||Mr||_F + (1/T) * sum |ln(Mr/Me)|, with
-    Mr/Me the floored magnitude STFTs of ref/est. Zero iff the waveforms match
-    up to the floor.
-    """
+    """mrstft of one waveform pair, as a float."""
     cfg = cfg or MrStftConfig()
     if ref.sample_rate != est.sample_rate:
         raise ValueError(f"sample rates differ: {ref.sample_rate} vs {est.sample_rate}")
     if len(ref) != len(est):
         raise ValueError(f"lengths differ: {len(ref)} vs {len(est)}")
-    total = 0.0
-    for params in cfg.resolutions:
-        mr = np.maximum(stft_magnitudes(ref.samples, params), MRSTFT_FLOOR)
-        me = np.maximum(stft_magnitudes(est.samples, params), MRSTFT_FLOOR)
-        sc = np.linalg.norm(mr - me) / np.linalg.norm(mr)
-        log_l1 = np.sum(np.abs(np.log(mr) - np.log(me))) / mr.shape[1]
-        total += float(sc + log_l1)
-    return total
+    with nn.no_grad():
+        return float(mrstft(nn.Tensor(est.samples[None, :]), ref.samples[None, :], cfg).data)

@@ -392,7 +392,8 @@ def conv_transpose1d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: i
 def stft_mag(x: Tensor, params: StftParams) -> Tensor:
     """Magnitude STFT of batched signals x (N, L) -> (N, T, F).
 
-    Framing matches metrics.stft_magnitudes (no padding). Backward is the
+    Frame k holds samples [k * hop, k * hop + fft_size), no padding; this is
+    the package's one unpadded framing (dsp.stft pads). Backward is the
     analytic rfft adjoint; near-zero bins use a tiny magnitude floor in the
     phase factor only.
     """

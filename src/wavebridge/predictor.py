@@ -166,14 +166,3 @@ class Predictor:
             h = h + mix(nn.tanh(conv(h)))
         h = nn.slice_last(h, self.cfg.n_tokens, self.cfg.n_tokens + length)
         return self.out_proj(h)
-
-    def predict_eps(self, z_t: np.ndarray, t: float, z_cond: np.ndarray, f_prior: float, f_target: float, blur_ratio: float | None = None) -> np.ndarray:
-        """Inference-shaped forward on single items (c, l) -> (c, l)."""
-        cond = Conditioning(
-            t=np.array([t]),
-            f_prior=np.array([f_prior]),
-            f_target=np.array([f_target]),
-            blur_ratio=None if blur_ratio is None else np.array([blur_ratio]),
-        )
-        with nn.no_grad():
-            return self.forward(nn.Tensor(z_t[None]), cond, nn.Tensor(z_cond[None])).data[0]

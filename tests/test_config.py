@@ -96,7 +96,7 @@ def test_stage_config_first_stage(tmp_path):
 def test_stage_config_cascade(tmp_path):
     path = _write(
         tmp_path, "s.ini",
-        "[stage]\ntarget_sr = 16000\npost_replace = yes\nlpf_before_resample = false\n"
+        "[stage]\ntarget_sr = 16000\npost_replace = yes\n"
         "[augmentation]\nblur_star = 0.2\nblur_max = 0.8\n"
         "[schedule]\ng_min_sq = 0.002\ng_max_sq = 0.5\nprofile = constant\n"
         "[predictor]\n",
@@ -105,7 +105,6 @@ def test_stage_config_cascade(tmp_path):
     assert stage.is_cascade is True
     assert stage.augmentation.blur_star == 0.2
     assert stage.post_replace is True
-    assert stage.lpf_before_resample is False
     assert (sched.g_min_sq, sched.g_max_sq, sched.profile) == (0.002, 0.5, "constant")
     assert pcfg.use_blur_token is True
 

@@ -26,7 +26,7 @@ def test_out_len_matches_forward(rng):
         x = _rand(rng, n, ci, length)
         w = _rand(rng, co, ci, k)
         y = kernels.conv1d_fwd(x, w, stride, dilation)
-        assert y.shape == (n, co, kernels.conv1d_out_len(length, k, stride, dilation))
+        assert y.shape == (n, co, (length - (k - 1) * dilation - 1) // stride + 1)
 
 
 def test_conv1d_matches_correlate(rng):

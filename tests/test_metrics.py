@@ -14,12 +14,11 @@ from wavebridge.metrics import (
     MRSTFT_FLOOR,
     MrStftConfig,
     SsimConfig,
-    frame_signal,
     lsd,
     lsd_band,
+    mrstft,
     mrstft_loss,
     spectral_ssim,
-    stft_magnitudes,
 )
 
 
@@ -152,20 +151,16 @@ def test_ssim_block_config():
 
 # -------------------------------------------------------------------- mrstft
 
-def test_frame_signal_layout():
-    x = np.arange(100, dtype=float)
-    frames = frame_signal(x, 32, 16)
-    assert frames.shape == (1 + (100 - 32) // 16, 32)
-    assert np.array_equal(frames[0], x[:32])
-    assert np.array_equal(frames[2], x[32:64])
-    with pytest.raises(ValueError):
-        frame_signal(np.zeros(31), 32, 16)
+def _mags(x, params):
+    """Magnitude STFT of one signal with the loss framing, F x T."""
+    return nn.stft_mag(nn.Tensor(x[None, :]), params).data[0].T
 
 
 def test_stft_magnitudes_matches_manual(rng):
+    # the loss framing is nn.stft_mag: frame k is x[k*hop : k*hop + fft], no padding
     params = StftParams(512, 128)
     x = rng.standard_normal(2000)
-    got = stft_magnitudes(x, params)
+    got = _mags(x, params)
     w = params.window_values()
     nframes = 1 + (len(x) - 512) // 128
     assert got.shape == (257, nframes)
@@ -196,8 +191,8 @@ def test_mrstft_brute_force_single_resolution(rng):
     cfg = MrStftConfig(resolutions=[params])
     x = rng.standard_normal(3000)
     y = x + 0.1 * rng.standard_normal(3000)
-    mr = np.maximum(stft_magnitudes(x, params), MRSTFT_FLOOR)
-    me = np.maximum(stft_magnitudes(y, params), MRSTFT_FLOOR)
+    mr = np.maximum(_mags(x, params), MRSTFT_FLOOR)
+    me = np.maximum(_mags(y, params), MRSTFT_FLOOR)
     sc = 0.0
     num = 0.0
     den = 0.0
@@ -222,7 +217,7 @@ def test_mrstft_factor_two_frozen_value():
     est = Waveform(2.0 * x, 8000)
     cfg = MrStftConfig()
     for params in cfg.resolutions:  # precondition: the floor must be inactive
-        assert stft_magnitudes(x, params).min() > 1e-6
+        assert _mags(x, params).min() > 1e-6
     want = 3.0 + 1795.0 * math.log(2.0)
     assert mrstft_loss(ref, est, cfg) == pytest.approx(want, rel=1e-9)
 
@@ -234,11 +229,20 @@ def test_mrstft_nonnegative(rng):
         assert mrstft_loss(a, b) > 0.0
 
 
-# --------------------------------------------------- framing consistency pin
+def test_mrstft_batch_is_mean_of_pairs(rng):
+    # the batch mean vae_loss trains on is the mean of per-clip mrstft_loss values
+    ref = rng.standard_normal((3, 4096))
+    est = ref + 0.2 * rng.standard_normal((3, 4096))
+    cfg = MrStftConfig()
+    got = float(mrstft(nn.Tensor(est), ref, cfg).data)
+    want = np.mean([mrstft_loss(Waveform(r, 8000), Waveform(e, 8000), cfg) for r, e in zip(ref, est)])
+    assert got == pytest.approx(want, rel=1e-12)
 
-def test_nn_stft_mag_matches_metrics_framing(rng):
-    params = StftParams(512, 128)
-    x = rng.standard_normal(2000)
-    theirs = stft_magnitudes(x, params)  # F x T
-    ours = nn.stft_mag(nn.Tensor(x[None, :]), params).data[0]  # T x F
-    assert np.max(np.abs(ours.T - theirs)) < 1e-12
+
+def test_mrstft_gradient(rng):
+    # floor, log, abs and sqrt all sit between est and the loss
+    cfg = MrStftConfig(resolutions=[StftParams(64, 16), StftParams(128, 32)])
+    ref = rng.standard_normal((2, 256))
+    est = nn.Tensor(ref + 0.3 * rng.standard_normal((2, 256)), requires_grad=True)
+    worst = nn.grad_check(lambda: mrstft(est, ref, cfg), [est], rng, n_samples=100)
+    assert worst < 1e-4, f"max rel grad error {worst:.3e}"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wavebridge import bridge, nn, toydata
+from wavebridge import bridge, nn, pipeline, toydata
 from wavebridge.checkpoint import CheckpointError
 from wavebridge.codec import Codec, CodecConfig
 from wavebridge.dsp import Waveform, lowpass
@@ -128,9 +128,10 @@ def test_policy_fixed_family_and_order():
 def test_simulate_lr_attenuates_high_band(rng):
     wav = Waveform(rng.standard_normal(8192), 8000)
     pol = DegradationPolicy(cutoff_range=(1400.0, 1600.0), fixed_family="cheby1", fixed_order=8)
-    lr, cutoff = simulate_lr(wav, pol, np.random.default_rng(1))
+    lr, spec = simulate_lr(wav, pol, np.random.default_rng(1))
     assert len(lr) == len(wav) and lr.sample_rate == 8000
-    assert 1400.0 <= cutoff <= 1600.0
+    assert 1400.0 <= spec.cutoff_hz <= 1600.0
+    assert (spec.family, spec.order) == ("cheby1", 8)
     spec_in = np.abs(np.fft.rfft(wav.samples))
     spec_out = np.abs(np.fft.rfft(lr.samples))
     hi = slice(int(2500 / 8000 * 8192), 4000)
@@ -140,9 +141,9 @@ def test_simulate_lr_attenuates_high_band(rng):
 def test_simulate_lr_deterministic(rng):
     wav = Waveform(rng.standard_normal(8192), 8000)
     pol = DegradationPolicy(cutoff_range=(1000.0, 3000.0))
-    a, ca = simulate_lr(wav, pol, np.random.default_rng(9))
-    b, cb = simulate_lr(wav, pol, np.random.default_rng(9))
-    assert ca == cb
+    a, sa = simulate_lr(wav, pol, np.random.default_rng(9))
+    b, sb = simulate_lr(wav, pol, np.random.default_rng(9))
+    assert sa == sb
     assert np.array_equal(a.samples, b.samples)
 
 
@@ -237,11 +238,29 @@ def test_stitched_single_window_matches_plain_sampler(rng):
     z_cond = rng.standard_normal((4, 16))
     cond_vals = {"f_prior": 2000.0, "f_target": 4000.0}
     got = _sample_stitched(pred, zT, z_cond, cond_vals, 8, np.random.default_rng(11), sched, window=64)
-    want = bridge.sample(
-        lambda z, s: pred.predict_eps(z, s, z_cond, 2000.0, 4000.0),
-        zT, 8, np.random.default_rng(11), sched,
-    )
+
+    def predict_eps(z, s):
+        cond = Conditioning(t=s, f_prior=2000.0, f_target=4000.0)
+        with nn.no_grad():
+            return pred.forward(nn.Tensor(z[None]), cond, nn.Tensor(z_cond[None])).data[0]
+
+    want = bridge.sample(predict_eps, zT, 8, np.random.default_rng(11), sched)
     assert np.array_equal(got, want)
+
+
+def test_stitched_draws_one_noise_array_per_step(rng):
+    # a latent over several windows still takes one z-shaped normal draw per step
+    pred = Predictor(SMALL_PRED, np.random.default_rng(2))
+    sched = bridge.BridgeSchedule()
+    zT = rng.standard_normal((4, 150))
+    z_cond = rng.standard_normal((4, 150))
+    cond_vals = {"f_prior": 2000.0, "f_target": 4000.0}
+    used = np.random.default_rng(21)
+    _sample_stitched(pred, zT, z_cond, cond_vals, 6, used, sched, window=32)
+    fresh = np.random.default_rng(21)
+    for _ in range(6):
+        fresh.standard_normal(zT.shape)
+    assert np.array_equal(used.standard_normal(8), fresh.standard_normal(8))
 
 
 class _ConstFieldStub:
@@ -508,6 +527,21 @@ def test_tune_augmentation_picks_minimum():
     )
     assert (blur_star, margin_star) == (0.5, 0.0)
     assert sorted(r[2] for r in rows) == sorted(table.values())
+
+
+def test_tune_eval_seeds_close_grid_points_apart(monkeypatch):
+    # margins under 1 Hz apart, and blurs under 1e-6 apart, draw different noise
+    first_draws = []
+
+    def fake_infer(stage, x, n_steps, rng, **kw):
+        first_draws.append(rng.standard_normal())
+        return x
+
+    monkeypatch.setattr(pipeline, "_stage_infer", fake_infer)
+    wav = Waveform(np.random.default_rng(0).standard_normal(4096), 8000)
+    for blur, margin in ((0.3, 300.2), (0.3, 300.7), (0.3000001, 300.2)):
+        pipeline._tune_eval(None, blur, margin, [(wav, wav)], 2, 0)
+    assert len(set(first_draws)) == 3
 
 
 def test_tune_augmentation_validation():

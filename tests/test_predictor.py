@@ -149,10 +149,12 @@ def test_forward_is_deterministic(rng):
     p = _nudge(_make())
     z = rng.standard_normal((2, 16))
     zc = rng.standard_normal((2, 16))
-    a = p.predict_eps(z, 0.5, zc, 2000.0, 4000.0)
-    b = p.predict_eps(z, 0.5, zc, 2000.0, 4000.0)
+    cond = Conditioning(t=0.5, f_prior=2000.0, f_target=4000.0)
+    with nn.no_grad():
+        a = p.forward(nn.Tensor(z[None]), cond, nn.Tensor(zc[None])).data
+        b = p.forward(nn.Tensor(z[None]), cond, nn.Tensor(zc[None])).data
     assert np.array_equal(a, b)
-    assert a.shape == (2, 16)
+    assert a.shape == (1, 2, 16)
 
 
 def test_forward_same_bytes_without_graph(rng):
