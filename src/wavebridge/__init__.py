@@ -2,7 +2,7 @@
 
 Library layout:
     wavio       WAV file reading/writing (PCM16/24, float32, mono)
-    dsp         filters, resampling, STFT/iSTFT, low-band replacement
+    dsp         filters, resampling, STFT, low-band replacement
     bandwidth   effective-bandwidth estimation from the magnitude spectrum
     metrics     LSD, band-limited LSD, spectral SSIM, multi-resolution STFT loss
     kernels     conv1d compute kernels (numpy)

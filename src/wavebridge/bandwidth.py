@@ -35,7 +35,6 @@ class EstimatorConfig:
     curvature_eps: float = 0.1
     energy_tau: float = 0.03
     lookahead_k: int = 8
-    window: str = "hann"  # window applied to the clip before the FFT
 
     def __post_init__(self):
         if self.savgol_window <= self.savgol_polyorder:
@@ -45,8 +44,6 @@ class EstimatorConfig:
         for name in ("savgol_polyorder", "downsample_factor", "curvature_eps", "energy_tau", "lookahead_k"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.window not in ("hann", "rect"):
-            raise ValueError(f"window must be 'hann' or 'rect', got {self.window!r}")
 
 
 @dataclass
@@ -60,14 +57,12 @@ class BandwidthEstimate:
             raise ValueError("truncation index outside (0, spectrum_len]")
 
 
-def magnitude_spectrum(wav: Waveform, window: str = "hann") -> np.ndarray:
-    """Single full-clip FFT magnitude, length len(x)//2 + 1."""
+def magnitude_spectrum(wav: Waveform) -> np.ndarray:
+    """Single full-clip FFT magnitude of the Hann-windowed clip, length len(x)//2 + 1."""
     x = wav.samples
     if len(x) == 0:
         raise ValueError("empty waveform")
-    if window == "hann":
-        x = x * np.hanning(len(x))
-    return np.abs(np.fft.rfft(x))
+    return np.abs(np.fft.rfft(x * np.hanning(len(x))))
 
 
 def savgol_smooth(x: np.ndarray, cfg: EstimatorConfig) -> np.ndarray:
@@ -101,7 +96,7 @@ def estimate_f_eff(wav: Waveform, cfg: EstimatorConfig | None = None) -> Bandwid
         )
     nyq = wav.nyquist
 
-    mag = magnitude_spectrum(wav, window=cfg.window)
+    mag = magnitude_spectrum(wav)
     smooth = savgol_smooth(mag, cfg)
     xb = smooth[:: cfg.downsample_factor]
     n = len(xb)

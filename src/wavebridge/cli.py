@@ -2,11 +2,10 @@
 
 Subcommands: make-toy, degrade, detect-bw, train-codec, train-bridge,
 upsample, eval, tune-aug. Every stochastic command takes --seed and is
-bit-reproducible under it; batch commands honor WAVEBRIDGE_THREADS for
-file-level concurrency, with per-file RNG streams keyed by filename so the
-thread schedule never changes results. Each artifact-producing command drops
-a JSON manifest next to its output recording the command, seed, config, and
-version.
+bit-reproducible under it; batch commands draw a per-file RNG stream keyed by
+filename, so a file's output does not depend on which other files are in the
+corpus. Each artifact-producing command drops a JSON manifest next to its
+output recording the command, seed, config, and version.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -38,21 +36,6 @@ from .wavio import WavFormatError, read_wav, write_wav
 log = logging.getLogger("wavebridge.cli")
 
 EVAL_STFT = StftParams(fft_size=2048, hop=512)
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("WAVEBRIDGE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items: list) -> list:
-    n = _threads()
-    if n == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(fn, items))
 
 
 def _rng_for(seed: int, name: str) -> np.random.Generator:
@@ -145,7 +128,7 @@ def cmd_degrade(args) -> int:
         write_wav(os.path.join(args.out_dir, name), lr.samples, lr.sample_rate, encoding="float32")
         return (name, f"{spec.cutoff_hz:.4f}", spec.family, spec.order)
 
-    rows = _map_ordered(one, corpus)
+    rows = [one(item) for item in corpus]
     _write_csv(os.path.join(args.out_dir, "cutoffs.csv"), ["file", "cutoff_hz", "family", "order"], rows)
     _write_manifest(
         os.path.join(args.out_dir, "manifest.json"),
@@ -166,7 +149,7 @@ def cmd_detect_bw(args) -> int:
         est = estimate_f_eff(Waveform(samples, sr))
         return (path, est.f_eff, est.trunc_index, est.spectrum_len)
 
-    rows = _map_ordered(one, list(args.files))
+    rows = [one(path) for path in args.files]
     for path, f_eff, idx, n in rows:
         print(f"{path} f_eff={f_eff:.2f} trunc_index={idx} spectrum_len={n}")
     if args.csv:
@@ -284,7 +267,7 @@ def cmd_eval(args) -> int:
             spectral_ssim(ref, est),
         )
 
-    rows = [r for r in _map_ordered(one, matched) if r is not None]
+    rows = [r for r in map(one, matched) if r is not None]
     if not rows:
         raise ValueError("every matched pair was skipped")
     mean = ["mean"] + [float(np.mean([r[i] for r in rows])) for i in range(1, 5)]

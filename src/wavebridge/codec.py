@@ -6,37 +6,21 @@ transposed convs. Trained on multi-resolution STFT reconstruction plus a
 weighted KL against the unit Gaussian; a post-hoc scale is fitted so pooled
 latents have unit spread before they feed the bridge.
 
-Lengths: encode handles any input of at least `ratio` samples and yields
-ceil(L / ratio) frames; decode emits frames * ratio samples and trims back to
-a known original length.
+Latents are plain (channels, frames) arrays. Lengths: encode handles any
+input of at least `ratio` samples and yields ceil(L / ratio) frames of the
+posterior mean; decode emits frames * ratio samples and trims back to a known
+original length.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
 from .dsp import Waveform
 from .metrics import MrStftConfig, mrstft
-
-
-@dataclass
-class Latent:
-    """c x l latent frames plus bookkeeping for round trips."""
-
-    data: np.ndarray
-    frame_rate: float
-    ratio: int
-    scale: float = 1.0
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.ndim != 2:
-            raise ValueError(f"latent must be 2-D (channels x frames), got {self.data.shape}")
-        if not np.all(np.isfinite(self.data)):
-            raise ValueError("latent contains NaN or inf")
 
 
 @dataclass
@@ -134,28 +118,23 @@ class Codec:
 
     # ------------------------------------------- numpy-facing API, no graph
 
-    def encode(self, wav: Waveform, mode: str = "mean", rng: np.random.Generator | None = None) -> Latent:
-        """Encode a waveform; mode 'mean' is deterministic, 'sample' draws."""
+    def encode(self, wav: Waveform) -> np.ndarray:
+        """Posterior-mean latent of a waveform, shape (channels, ceil(L / ratio))."""
         if wav.sample_rate != self.cfg.sample_rate:
             raise ValueError(f"codec trained at {self.cfg.sample_rate} Hz, input is {wav.sample_rate} Hz")
         if len(wav) < self.cfg.ratio:
             raise ValueError(f"input of {len(wav)} samples shorter than one frame ({self.cfg.ratio})")
         with nn.no_grad():
-            mu, logvar = self.encode_dist(nn.Tensor(wav.samples[None, None, :]))
-        if mode == "mean":
-            z = mu.data[0]
-        elif mode == "sample":
-            if rng is None:
-                raise ValueError("sample mode needs an rng")
-            z = mu.data[0] + np.exp(0.5 * logvar.data[0]) * rng.standard_normal(mu.data[0].shape)
-        else:
-            raise ValueError(f"unknown encode mode {mode!r}")
-        return Latent(z, self.cfg.frame_rate, self.cfg.ratio)
+            mu, _ = self.encode_dist(nn.Tensor(wav.samples[None, None, :]))
+        z = mu.data[0]
+        if not np.all(np.isfinite(z)):  # weights come from checkpoint files
+            raise ValueError("latent contains NaN or inf")
+        return z
 
-    def decode(self, z: Latent | np.ndarray, length: int | None = None) -> Waveform:
-        data = z.data if isinstance(z, Latent) else np.asarray(z, dtype=np.float64)
+    def decode(self, z: np.ndarray, length: int | None = None) -> Waveform:
+        """Decode a (channels, frames) latent, trimmed to `length` samples if given."""
         with nn.no_grad():
-            y = self.decode_graph(nn.Tensor(data[None])).data[0, 0]
+            y = self.decode_graph(nn.Tensor(z[None])).data[0, 0]
         if length is not None:
             y = y[:length]
         return Waveform(y, self.cfg.sample_rate)
@@ -235,7 +214,7 @@ def _random_crop(clips: list[Waveform], crop_len: int, rng: np.random.Generator)
 
 def fit_latent_scale(clips: list[Waveform], codec: Codec) -> float:
     """s = 1 / std of pooled posterior-mean latent entries over the corpus."""
-    pool = [codec.encode(wav, mode="mean").data.ravel() for wav in clips]
+    pool = [codec.encode(wav).ravel() for wav in clips]
     std = float(np.std(np.concatenate(pool)))
     if std <= 1e-12:
         raise ValueError("latents have zero variance; cannot fit a scale")

@@ -1,16 +1,17 @@
 """Deterministic signal-processing primitives.
 
 Everything here is a pure function: IIR low-pass design (four classic
-families, second-order sections), zero-phase or causal application, polyphase
-resampling, an exactly-invertible STFT, and spectral low-band replacement.
-Filter design and resampling are delegated to scipy.signal; the contracts
-(stability margin, -3 dB points, reconstruction error) are enforced by tests.
+families, second-order sections), zero-phase application, polyphase
+resampling, a zero-padded Hann STFT for spectral metrics, and spectral
+low-band replacement. Filter design and resampling are delegated to
+scipy.signal; the contracts (stability margin, -3 dB points, reconstruction
+error) are enforced by tests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal
@@ -94,31 +95,28 @@ def design_lowpass(spec: FilterSpec, sample_rate: int) -> np.ndarray:
     return sos
 
 
-def apply_filter(wav: Waveform, sections: np.ndarray | None, zero_phase: bool = True) -> Waveform:
+def apply_filter(wav: Waveform, sections: np.ndarray | None) -> Waveform:
     """Run a biquad cascade over a waveform. None/empty sections = identity.
 
-    zero_phase=True filters forward and backward (no group delay, squared
-    magnitude response); False is a single causal pass.
+    Zero-phase: filters forward and backward (no group delay, squared
+    magnitude response).
     """
     if sections is None or len(sections) == 0:
         return Waveform(wav.samples.copy(), wav.sample_rate)
     x = wav.samples
     if len(x) == 0:
         return Waveform(x.copy(), wav.sample_rate)
-    if zero_phase:
-        # sosfiltfilt needs padlen < len(x); shrink it for short buffers.
-        default_padlen = 3 * (2 * len(sections) + 1 - min((sections[:, 2] == 0).sum(), (sections[:, 5] == 0).sum()))
-        padlen = min(int(default_padlen), len(x) - 1)
-        y = signal.sosfiltfilt(sections, x, padlen=padlen)
-    else:
-        y = signal.sosfilt(sections, x)
+    # sosfiltfilt needs padlen < len(x); shrink it for short buffers.
+    default_padlen = 3 * (2 * len(sections) + 1 - min((sections[:, 2] == 0).sum(), (sections[:, 5] == 0).sum()))
+    padlen = min(int(default_padlen), len(x) - 1)
+    y = signal.sosfiltfilt(sections, x, padlen=padlen)
     return Waveform(np.asarray(y, dtype=np.float64), wav.sample_rate)
 
 
-def lowpass(wav: Waveform, cutoff_hz: float, family: str = "cheby1", order: int = 8, zero_phase: bool = True) -> Waveform:
+def lowpass(wav: Waveform, cutoff_hz: float, family: str = "cheby1", order: int = 8) -> Waveform:
     """Convenience: design + apply in one call (the package-default degrader)."""
     sos = design_lowpass(FilterSpec(family, order, cutoff_hz), wav.sample_rate)
-    return apply_filter(wav, sos, zero_phase=zero_phase)
+    return apply_filter(wav, sos)
 
 
 def resample(wav: Waveform, target_sr: int) -> Waveform:
@@ -148,15 +146,12 @@ class StftParams:
 
     fft_size: int = 2048
     hop: int = 512
-    window: str = "hann"
 
     def __post_init__(self):
         if self.fft_size <= 0 or (self.fft_size & (self.fft_size - 1)) != 0:
             raise ValueError(f"fft_size must be a positive power of two, got {self.fft_size}")
         if not (0 < self.hop <= self.fft_size):
             raise ValueError(f"hop must be in (0, fft_size], got {self.hop}")
-        if self.window != "hann":
-            raise ValueError(f"only the hann window is supported, got {self.window!r}")
 
     def window_values(self) -> np.ndarray:
         # Periodic Hann: the right choice for overlap-add analysis.
@@ -166,16 +161,11 @@ class StftParams:
 
 @dataclass
 class Spectrogram:
-    """Complex STFT matrix, F x T, with the parameters that produced it.
-
-    `length` remembers the source sample count so istft can trim exactly;
-    spectrograms built directly from matrices may leave it None.
-    """
+    """Complex STFT matrix, F x T, with the parameters that produced it."""
 
     bins: np.ndarray
     params: StftParams
     sample_rate: int
-    length: int | None = None
 
     def __post_init__(self):
         self.bins = np.asarray(self.bins)
@@ -193,21 +183,18 @@ class Spectrogram:
         return self.sample_rate / self.params.fft_size
 
 
-def _check_cola(params: StftParams) -> None:
-    if params.hop > params.fft_size // 2:
-        raise ValueError(
-            f"hop {params.hop} > fft_size/2 = {params.fft_size // 2}: Hann overlap-add cannot reconstruct"
-        )
-
-
 def stft(wav: Waveform, params: StftParams) -> Spectrogram:
-    """Hann STFT with internal zero-padding so istft(stft(x)) == x exactly.
+    """Hann STFT of a zero-padded signal, the framing every spectral metric uses.
 
-    The pad of fft_size zeros on each side keeps every original sample under
-    full window coverage; istft trims it back off.
+    The pad of fft_size zeros on each side puts every original sample, the
+    first and last included, under as many full windows as an interior one,
+    so spectral distances weigh the clip edges like the middle. A hop above
+    fft_size/2 is rejected: Hann frames that sparse leave the samples between
+    two window centres with uneven, partly near-zero weight.
     """
-    _check_cola(params)
     n, h = params.fft_size, params.hop
+    if h > n // 2:
+        raise ValueError(f"hop {h} > fft_size/2 = {n // 2}: Hann frames would weigh samples unevenly")
     x = wav.samples
     pad = n
     covered = len(x) + 2 * pad - n
@@ -218,33 +205,7 @@ def stft(wav: Waveform, params: StftParams) -> Spectrogram:
     idx = np.arange(n)[None, :] + (h * np.arange(nframes))[:, None]
     frames = buf[idx] * params.window_values()[None, :]
     bins = np.fft.rfft(frames, axis=1).T  # F x T
-    return Spectrogram(bins, params, wav.sample_rate, length=len(x))
-
-
-def istft(spec: Spectrogram, length: int | None = None) -> Waveform:
-    """Invert stft() by overlap-add with pointwise window-sum normalization."""
-    params = spec.params
-    _check_cola(params)
-    n, h = params.fft_size, params.hop
-    frames = np.fft.irfft(spec.bins.T, n=n, axis=1)
-    nframes = frames.shape[0]
-    total = n + (nframes - 1) * h
-    w = params.window_values()
-    y = np.zeros(total)
-    wsum = np.zeros(total)
-    for k in range(nframes):
-        y[k * h : k * h + n] += frames[k]
-        wsum[k * h : k * h + n] += w
-    good = wsum > 1e-12
-    y[good] /= wsum[good]
-    want = length if length is not None else spec.length
-    if want is None:
-        want = total - 2 * n
-    pad = n
-    out = y[pad : pad + want]
-    if len(out) < want:
-        out = np.concatenate([out, np.zeros(want - len(out))])
-    return Waveform(out, spec.sample_rate)
+    return Spectrogram(bins, params, wav.sample_rate)
 
 
 def replace_low_band(generated: Waveform, reference: Waveform, cutoff_hz: float) -> Waveform:

@@ -29,15 +29,23 @@ def conv1d_fwd(x, w, stride=1, dilation=1):
     return np.einsum("nclk,ock->nol", win, w, optimize=True)
 
 
-def conv1d_grad_x(gy, w, stride, dilation, length):
-    gy, w = _c(gy), _c(w)
-    n, co, lo = gy.shape
-    _, ci, k = w.shape
-    gx = np.zeros((n, ci, length))
+def _scatter_taps(g, w, stride, dilation, length):
+    """Scatter each tap's channel mix of g (n, o, l) back onto a (n, c, length) signal.
+
+    w is (o, c, k). This is conv1d's input gradient and, with w read as
+    (in_ch, out_ch, k), the transposed convolution's forward.
+    """
+    n, _, lo = g.shape
+    _, c, k = w.shape
+    out = np.zeros((n, c, length))
     for kk in range(k):
         start = kk * dilation
-        gx[:, :, start : start + stride * lo : stride] += np.einsum("nol,oc->ncl", gy, w[:, :, kk], optimize=True)
-    return gx
+        out[:, :, start : start + stride * lo : stride] += np.einsum("nol,oc->ncl", g, w[:, :, kk], optimize=True)
+    return out
+
+
+def conv1d_grad_x(gy, w, stride, dilation, length):
+    return _scatter_taps(_c(gy), _c(w), stride, dilation, length)
 
 
 def conv1d_grad_w(x, gy, stride, dilation, k):
@@ -49,13 +57,7 @@ def conv1d_grad_w(x, gy, stride, dilation, k):
 
 def convt1d_fwd(x, w, stride=1):
     x, w = _c(x), _c(w)
-    n, ci, length = x.shape
-    _, co, k = w.shape
-    lo = (length - 1) * stride + k
-    y = np.zeros((n, co, lo))
-    for kk in range(k):
-        y[:, :, kk : kk + stride * length : stride] += np.einsum("ncl,co->nol", x, w[:, :, kk], optimize=True)
-    return y
+    return _scatter_taps(x, w, stride, 1, (x.shape[2] - 1) * stride + w.shape[2])
 
 
 def convt1d_grad_x(gy, w, stride):

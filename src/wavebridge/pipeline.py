@@ -14,7 +14,7 @@ distribution.
 
 RNG discipline: every function that draws randomness takes an explicit
 numpy Generator and documents its consumption order, so seeded runs are
-bit-reproducible regardless of file layout or thread schedule.
+bit-reproducible regardless of file layout.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bridge, checkpoint, nn
-from .bandwidth import EstimatorConfig, estimate_f_eff
-from .codec import Codec, CodecConfig, Latent
+from .bandwidth import estimate_f_eff
+from .codec import Codec, CodecConfig
 from .dsp import (
     FILTER_FAMILIES,
     FilterSpec,
@@ -62,8 +62,6 @@ class DegradationPolicy:
     cutoff_range: tuple
     families: tuple = FILTER_FAMILIES
     order_range: tuple = (2, 10)
-    fixed_family: str | None = None
-    fixed_order: int | None = None
 
     def __post_init__(self):
         lo, hi = self.cutoff_range
@@ -74,8 +72,6 @@ class DegradationPolicy:
         for fam in self.families:
             if fam not in FILTER_FAMILIES:
                 raise ValueError(f"unknown family {fam!r}")
-        if self.fixed_family is not None and self.fixed_family not in FILTER_FAMILIES:
-            raise ValueError(f"unknown fixed_family {self.fixed_family!r}")
 
     def validate_rate(self, sample_rate: int) -> None:
         if self.cutoff_range[1] >= sample_rate / 2:
@@ -83,16 +79,12 @@ class DegradationPolicy:
                 f"cutoff_range {self.cutoff_range} reaches Nyquist of {sample_rate} Hz"
             )
 
-    def draw(self, rng: np.random.Generator) -> tuple[FilterSpec, float]:
-        """Draw (spec, cutoff). Consumes: family, order, cutoff (in that order)."""
-        if self.fixed_family is not None:
-            family = self.fixed_family
-            order = self.fixed_order if self.fixed_order is not None else 8
-        else:
-            family = self.families[int(rng.integers(len(self.families)))]
-            order = int(rng.integers(self.order_range[0], self.order_range[1] + 1))
+    def draw(self, rng: np.random.Generator) -> FilterSpec:
+        """Draw a filter spec. Consumes: family, order, cutoff (in that order)."""
+        family = self.families[int(rng.integers(len(self.families)))]
+        order = int(rng.integers(self.order_range[0], self.order_range[1] + 1))
         cutoff = float(rng.uniform(self.cutoff_range[0], self.cutoff_range[1]))
-        return FilterSpec(family=family, order=order, cutoff_hz=cutoff), cutoff
+        return FilterSpec(family=family, order=order, cutoff_hz=cutoff)
 
 
 @dataclass
@@ -180,9 +172,9 @@ class BlurKernel:
 def simulate_lr(wav_hr: Waveform, policy: DegradationPolicy, rng: np.random.Generator) -> tuple[Waveform, FilterSpec]:
     """Degrade one clip with a random zero-phase low-pass; returns (lr, drawn spec)."""
     policy.validate_rate(wav_hr.sample_rate)
-    spec, _ = policy.draw(rng)
+    spec = policy.draw(rng)
     sections = design_lowpass(spec, wav_hr.sample_rate)
-    return apply_filter(wav_hr, sections, zero_phase=True), spec
+    return apply_filter(wav_hr, sections), spec
 
 
 @dataclass
@@ -199,7 +191,6 @@ def prepare_anytoany_pair(
     policy: DegradationPolicy,
     target_cfg: AnyToAnyConfig,
     f_eff: float | None = None,
-    est_cfg: EstimatorConfig | None = None,
 ) -> TrainPair | None:
     """Build one any-to-any pair, or None when the clip is too narrow to use.
 
@@ -209,7 +200,7 @@ def prepare_anytoany_pair(
     is the HR leg degraded further, never a fresh copy of the source.
     """
     if f_eff is None:
-        f_eff = estimate_f_eff(wav, est_cfg).f_eff
+        f_eff = estimate_f_eff(wav).f_eff
     nyq = wav.nyquist
     hi_t = _target_ceiling(f_eff, nyq, target_cfg)
     if hi_t is None:
@@ -222,11 +213,11 @@ def prepare_anytoany_pair(
     else:
         x_hr = lowpass(wav, f_target)
 
-    spec, cutoff = policy.draw(rng)
-    f_prior = min(max(cutoff, target_cfg.min_usable_hz), 0.95 * f_target)
+    spec = policy.draw(rng)
+    f_prior = min(max(spec.cutoff_hz, target_cfg.min_usable_hz), 0.95 * f_target)
     spec = FilterSpec(spec.family, spec.order, f_prior, spec.ripple_db, spec.stop_atten_db)
     sections = design_lowpass(spec, wav.sample_rate)
-    x_lr = apply_filter(x_hr, sections, zero_phase=True)
+    x_lr = apply_filter(x_hr, sections)
     return TrainPair(x_hr, x_lr, f_prior, f_target)
 
 
@@ -238,32 +229,21 @@ def _target_ceiling(f_eff: float, nyquist: float, target_cfg: AnyToAnyConfig) ->
     return hi_t if hi_t > target_cfg.min_usable_hz else None
 
 
-def blur_latent(z, blur_ratio: float, half_width: int = 2):
+def blur_latent(z: np.ndarray, blur_ratio: float, half_width: int = 2) -> np.ndarray:
     """Gaussian-blur latent frames along time, each channel independently.
 
-    Accepts a Latent or a plain array whose last axis is time; reflect
-    padding at the ends. Returns the same container type.
+    z is an array whose last axis is time; reflect padding at the ends.
     """
     kern = BlurKernel(blur_ratio, half_width)
-    data = z.data if isinstance(z, Latent) else np.asarray(z, dtype=np.float64)
     k = kern.half_width
-    if data.shape[-1] <= k:
-        raise ValueError(f"latent too short to blur: {data.shape[-1]} frames vs half-width {k}")
-    padded = np.pad(data, [(0, 0)] * (data.ndim - 1) + [(k, k)], mode="reflect")
+    if z.shape[-1] <= k:
+        raise ValueError(f"latent too short to blur: {z.shape[-1]} frames vs half-width {k}")
+    padded = np.pad(z, [(0, 0)] * (z.ndim - 1) + [(k, k)], mode="reflect")
     windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * k + 1, axis=-1)
-    out = windows @ kern.weights
-    if isinstance(z, Latent):
-        return Latent(out, z.frame_rate, z.ratio, z.scale)
-    return out
+    return windows @ kern.weights
 
 
-def augment_prior(
-    wav: Waveform,
-    prior_band_hz: float,
-    margin_hz: float,
-    family: str = "cheby1",
-    order: int = 8,
-) -> Waveform:
+def augment_prior(wav: Waveform, prior_band_hz: float, margin_hz: float) -> Waveform:
     """Shave `margin_hz` off the top of an already band-limited prior waveform.
 
     `wav` lives at the stage rate but carries content only up to
@@ -276,7 +256,7 @@ def augment_prior(
         return Waveform(wav.samples.copy(), wav.sample_rate)
     if margin_hz >= prior_band_hz:
         raise ValueError(f"margin {margin_hz} Hz >= prior band {prior_band_hz} Hz")
-    return lowpass(wav, prior_band_hz - margin_hz, family=family, order=order)
+    return lowpass(wav, prior_band_hz - margin_hz)
 
 
 # ------------------------------------------------------------ stage training
@@ -595,7 +575,7 @@ def _stage_infer(
         enc_in = x_r
         token_prior = f_prior
 
-    z_cond = stage.codec.encode(enc_in, mode="mean").data * stage.scale
+    z_cond = stage.codec.encode(enc_in) * stage.scale
     zT = blur_latent(z_cond, blur) if blur is not None else z_cond
 
     cond_vals = {"f_prior": token_prior, "f_target": f_target, "blur_ratio": blur}

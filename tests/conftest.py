@@ -33,7 +33,7 @@ def child_env():
     not, from any cwd, so the absolute source root of the imported package
     goes first on PYTHONPATH (a relative `PYTHONPATH=src` stops resolving once
     the child runs elsewhere). The rest of os.environ is kept, and the keyword
-    overrides, e.g. `WAVEBRIDGE_THREADS="2"`, are applied last.
+    overrides, e.g. `PYTHONHASHSEED="0"`, are applied last.
     """
     src_root = str(Path(wavebridge.__file__).resolve().parents[1])
 

@@ -59,12 +59,42 @@ def test_policy_file_parsing(tmp_path):
     path = _write(
         tmp_path, "p.ini",
         "[degradation]\ncutoff_lo = 1000\ncutoff_hi = 3000\n"
-        "orders = 2, 8\nfixed_family = cheby1\n",
+        "orders = 2, 8\nfamilies = cheby1, bessel\n",
     )
     pol = parse_policy_file(path)
     assert pol.cutoff_range == (1000.0, 3000.0)
     assert pol.order_range == (2, 8)
-    assert pol.fixed_family == "cheby1"
+    assert pol.families == ("cheby1", "bessel")
+
+
+def test_unread_key_names_key_and_section(tmp_path):
+    path = _write(tmp_path, "c.ini", "[codec]\nsample_rate = 8000\n[training]\nbatch_sise = 4\n")
+    with pytest.raises(ConfigError, match=r"unknown key 'batch_sise' in section \[training\]"):
+        parse_codec_config(path)
+
+
+def test_policy_rejects_removed_fixed_family(tmp_path):
+    # fixed_family once pinned the filter; silently ignoring it would switch
+    # the file to random families
+    path = _write(tmp_path, "p.ini", "[degradation]\ncutoff_lo = 1000\ncutoff_hi = 3000\nfixed_family = cheby1\n")
+    with pytest.raises(ConfigError, match=r"unknown key 'fixed_family' in section \[degradation\]"):
+        parse_policy_file(path)
+    with open(path, "a") as f:
+        f.write("[stage]\ntarget_sr = 8000\n")
+    with pytest.raises(ConfigError, match="fixed_family"):
+        parse_stage_config(path)
+
+
+def test_sections_a_parser_does_not_read_are_ignored(tmp_path):
+    # degrade --policy accepts a full stage config
+    path = _write(
+        tmp_path, "s.ini",
+        "[stage]\ntarget_sr = 8000\ncodec = c.ckpt\nwindow_frames = 32\n"
+        "[degradation]\ncutoff_lo = 1000\ncutoff_hi = 3000\n"
+        "[anytoany]\nf_target_lo = 4000\nf_target_hi = 4000\n",
+    )
+    assert parse_policy_file(path).cutoff_range == (1000.0, 3000.0)
+    assert parse_stage_config(path)[0].window_frames == 32
 
 
 def test_policy_file_requires_section(tmp_path):

@@ -14,7 +14,6 @@ from wavebridge.dsp import (
     Waveform,
     apply_filter,
     design_lowpass,
-    istft,
     lowpass,
     replace_low_band,
     resample,
@@ -212,8 +211,6 @@ def test_stft_params_validation():
     with pytest.raises(ValueError):
         StftParams(fft_size=512, hop=1024)
     with pytest.raises(ValueError):
-        StftParams(fft_size=512, hop=128, window="hamming")
-    with pytest.raises(ValueError):
         stft(Waveform(np.zeros(100), 8000), StftParams(fft_size=512, hop=512))
 
 
@@ -226,22 +223,19 @@ def test_stft_shape_and_bin_hz(rng):
         Spectrogram(np.zeros((100, 5), dtype=complex), params, 8000)
 
 
-def test_stft_round_trip_exact(rng):
-    params = StftParams(fft_size=512, hop=128)
-    x = rng.standard_normal(5000)
-    back = istft(stft(Waveform(x, 8000), params))
-    assert len(back) == 5000
-    assert np.max(np.abs(back.samples - x)) < 1e-10
-
-
-@given(n=st.integers(min_value=1, max_value=2000), hop=st.sampled_from([64, 128, 256]))
+@given(n=st.integers(min_value=1, max_value=2000), hop=st.sampled_from([64, 128]))
 @settings(max_examples=30, deadline=None)
-def test_stft_round_trip_any_length(n, hop):
+def test_stft_weighs_every_sample_equally(n, hop):
+    # The zero padding puts every sample, the edges included, under a full set
+    # of windows. For a periodic Hann and hop <= fft_size/4 the squared windows
+    # then sum to 3/8 * fft_size/hop at every sample, so the frames' energy
+    # (Parseval over each rFFT) is that constant times the signal's.
+    size = 512
     rng = np.random.default_rng(n * 1000 + hop)
     x = rng.standard_normal(n)
-    back = istft(stft(Waveform(x, 8000), StftParams(fft_size=512, hop=hop)))
-    assert len(back) == n
-    assert np.max(np.abs(back.samples - x)) < 1e-9
+    p = np.abs(stft(Waveform(x, 8000), StftParams(fft_size=size, hop=hop)).bins) ** 2
+    frame_energy = (p[0] + p[-1] + 2.0 * p[1:-1].sum(axis=0)).sum() / size
+    assert frame_energy == pytest.approx(3.0 / 8.0 * size / hop * np.sum(x**2), rel=1e-10)
 
 
 def test_stft_constant_signal_interior_frame():
@@ -256,13 +250,6 @@ def test_stft_constant_signal_interior_frame():
     assert col[0].real == pytest.approx(n / 2, abs=1e-9)
     assert abs(col[1]) == pytest.approx(n / 4, abs=1e-9)
     assert np.max(np.abs(col[2:])) < 1e-9
-
-
-def test_istft_length_override(rng):
-    params = StftParams(fft_size=256, hop=64)
-    spec = stft(Waveform(rng.standard_normal(1000), 8000), params)
-    assert len(istft(spec, length=600)) == 600
-    assert len(istft(spec, length=1400)) == 1400
 
 
 # --------------------------------------------------------- band replacement
