@@ -1,17 +1,21 @@
 """Effective-bandwidth estimation from a clip's magnitude spectrum.
 
 The estimator takes one full-clip FFT, smooths the magnitude with a
-Savitzky-Golay filter, downsamples, and walks the log-spectrum looking for the
-first index whose neighborhood is both flat (five-point second difference
-below a curvature threshold) and quiet (level below a fraction of the spectrum
-max). That index marks the band edge; if no index qualifies the clip is
-treated as full-band and the Nyquist frequency is returned.
+Savitzky-Golay filter, downsamples, and walks the log-spectrum upward from
+just above the last loud index (level at or above a fraction of the spectrum
+max), looking for the first index whose neighborhood is flat (five-point
+second difference below a curvature threshold). Every index above the last
+loud one is quiet, so that index marks the band edge; if none is flat the clip
+is treated as full-band and the Nyquist frequency is returned. Starting above
+the last loud index matters on tonal audio: the quiet, flat gaps between a
+tone stack's harmonics (or below its fundamental) lie inside the band.
 
-Defaults were calibrated on low-passed noise corpora (known cutoffs 2-20 kHz,
-Chebyshev order 8): the clip is Hann-windowed before the FFT (a rectangular
-window's leakage skirt otherwise buries the stopband), smoothing window 101
-bins, curvature threshold 0.1 in log10 units, level threshold 0.03 of the
-smoothed max. That configuration hits 100/100 within +/-10% on 1 s clips.
+The constants were calibrated on low-passed noise corpora (known cutoffs
+2-20 kHz, Chebyshev order 8): the clip is Hann-windowed before the FFT (a
+rectangular window's leakage skirt otherwise buries the stopband), smoothing
+window 101 bins, curvature threshold 0.1 in log10 units, level threshold 0.03
+of the smoothed max. That configuration hits 100/100 within +/-10% on 1 s
+clips.
 """
 
 from __future__ import annotations
@@ -25,25 +29,12 @@ from scipy.signal import savgol_filter
 from .dsp import Waveform
 
 MIN_CLIP_SECONDS = 0.25
-
-
-@dataclass
-class EstimatorConfig:
-    savgol_window: int = 101
-    savgol_polyorder: int = 3
-    downsample_factor: int = 4
-    curvature_eps: float = 0.1
-    energy_tau: float = 0.03
-    lookahead_k: int = 8
-
-    def __post_init__(self):
-        if self.savgol_window <= self.savgol_polyorder:
-            raise ValueError("savgol_window must exceed savgol_polyorder")
-        if self.savgol_window % 2 == 0:
-            raise ValueError("savgol_window must be odd")
-        for name in ("savgol_polyorder", "downsample_factor", "curvature_eps", "energy_tau", "lookahead_k"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+SAVGOL_WINDOW = 101  # bins, odd
+SAVGOL_POLYORDER = 3
+DOWNSAMPLE_FACTOR = 4
+CURVATURE_EPS = 0.1  # log10 units
+ENERGY_TAU = 0.03  # fraction of the smoothed max
+LOOKAHEAD_K = 8  # an edge needs this many flat indices above it
 
 
 @dataclass
@@ -65,10 +56,10 @@ def magnitude_spectrum(wav: Waveform) -> np.ndarray:
     return np.abs(np.fft.rfft(x * np.hanning(len(x))))
 
 
-def savgol_smooth(x: np.ndarray, cfg: EstimatorConfig) -> np.ndarray:
-    if len(x) < cfg.savgol_window:
-        raise ValueError(f"sequence of {len(x)} shorter than smoothing window {cfg.savgol_window}")
-    return savgol_filter(np.asarray(x, dtype=np.float64), cfg.savgol_window, cfg.savgol_polyorder)
+def savgol_smooth(x: np.ndarray) -> np.ndarray:
+    if len(x) < SAVGOL_WINDOW:
+        raise ValueError(f"sequence of {len(x)} shorter than smoothing window {SAVGOL_WINDOW}")
+    return savgol_filter(np.asarray(x, dtype=np.float64), SAVGOL_WINDOW, SAVGOL_POLYORDER)
 
 
 def curvature(logmag: np.ndarray) -> np.ndarray:
@@ -81,13 +72,12 @@ def curvature(logmag: np.ndarray) -> np.ndarray:
     return out
 
 
-def estimate_f_eff(wav: Waveform, cfg: EstimatorConfig | None = None) -> BandwidthEstimate:
+def estimate_f_eff(wav: Waveform) -> BandwidthEstimate:
     """Estimate the effective bandwidth of a clip (>= 0.25 s).
 
     Scale-invariant (thresholds are relative to the spectrum max). Silence and
     genuinely full-band content both return the Nyquist frequency.
     """
-    cfg = cfg or EstimatorConfig()
     need = math.ceil(MIN_CLIP_SECONDS * wav.sample_rate)
     if len(wav) < need:
         raise ValueError(
@@ -97,21 +87,21 @@ def estimate_f_eff(wav: Waveform, cfg: EstimatorConfig | None = None) -> Bandwid
     nyq = wav.nyquist
 
     mag = magnitude_spectrum(wav)
-    smooth = savgol_smooth(mag, cfg)
-    xb = smooth[:: cfg.downsample_factor]
+    smooth = savgol_smooth(mag)
+    xb = smooth[::DOWNSAMPLE_FACTOR]
     n = len(xb)
     peak = float(np.max(xb)) if n else 0.0
     if peak <= 0.0:
         return BandwidthEstimate(nyq, n, n)  # silence: no band edge exists
 
     xb = np.maximum(xb, peak * 1e-12)
-    level_ok = (xb / peak) < cfg.energy_tau
+    # the peak index is loud, so the search starts at index 1 or above
+    start = int(np.nonzero(xb / peak >= ENERGY_TAU)[0][-1]) + 1
     acurv = np.abs(curvature(np.log10(xb)))
     # max of |curvature| over [i, i+k]; zero-padding is exact since acurv >= 0
-    padded = np.concatenate([acurv, np.zeros(cfg.lookahead_k)])
-    flat_ok = np.lib.stride_tricks.sliding_window_view(padded, cfg.lookahead_k + 1).max(axis=1) < cfg.curvature_eps
+    padded = np.concatenate([acurv, np.zeros(LOOKAHEAD_K)])
+    flat_ok = np.lib.stride_tricks.sliding_window_view(padded, LOOKAHEAD_K + 1).max(axis=1) < CURVATURE_EPS
 
-    hits = np.nonzero(level_ok & flat_ok)[0]
-    idx = int(hits[0]) if hits.size else n
-    idx = max(idx, 1)
+    hits = np.nonzero(flat_ok[start:])[0]
+    idx = start + int(hits[0]) if hits.size else n
     return BandwidthEstimate((idx / n) * nyq, idx, n)

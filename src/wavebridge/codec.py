@@ -25,12 +25,12 @@ from .metrics import MrStftConfig, mrstft
 
 @dataclass
 class CodecConfig:
+    sample_rate: int
     ratio: int = 16
     channels: int = 8
     strides: tuple = (2, 2, 2, 2)
     widths: tuple = (16, 24, 32, 32)
     kl_weight: float = 1e-7
-    sample_rate: int = 8000
 
     def __post_init__(self):
         if len(self.strides) != len(self.widths):
@@ -42,10 +42,6 @@ class CodecConfig:
             raise ValueError(f"product of strides {self.strides} is {prod}, not ratio {self.ratio}")
         if self.kl_weight < 0:
             raise ValueError("kl_weight must be >= 0")
-
-    @property
-    def frame_rate(self) -> float:
-        return self.sample_rate / self.ratio
 
     def to_dict(self) -> dict:
         return {
@@ -144,7 +140,7 @@ def vae_loss(codec: Codec, batch: np.ndarray, rng: np.random.Generator, mr_cfg: 
     """metrics.mrstft reconstruction + kl_weight * KL on a (N, L) batch.
 
     Returns (loss tensor, recon value, kl value). The reconstruction term is
-    the batch mean of per-clip metrics.mrstft_loss values.
+    the batch mean of per-clip metrics.mrstft values.
     """
     n, length = batch.shape
     x = nn.Tensor(batch[:, None, :])
@@ -173,7 +169,6 @@ def train_codec(
     crop_len: int = 2048,
     lr: float = 1e-3,
     log_every: int = 50,
-    mr_cfg: MrStftConfig | None = None,
     log_cb=None,
 ) -> tuple[Codec, list[tuple[int, float, float, float]]]:
     """Train a fresh codec on random crops. Returns (codec, loss trace).
@@ -187,7 +182,7 @@ def train_codec(
             raise ValueError(f"clip at {wav.sample_rate} Hz in a {cfg.sample_rate} Hz corpus")
         if len(wav) < crop_len:
             raise ValueError(f"clip of {len(wav)} samples shorter than crop {crop_len}")
-    mr_cfg = mr_cfg or MrStftConfig()
+    mr_cfg = MrStftConfig()
     codec = Codec(cfg, rng)
     opt = nn.Adam(codec.params(), lr=lr)
     trace = []

@@ -2,16 +2,22 @@
 
 Two file kinds: a codec config ([codec] + [training]) and a stage config
 ([stage] + [degradation]/[anytoany]/[augmentation] + [training] + optional
-[schedule]/[predictor]). Every missing required key, and every key a parser
-does not read in a section it reads, raises ConfigError naming the key and
-section, so a typo fails loudly instead of training the wrong model.
+[schedule]/[predictor]). The keys of [codec], [training], [augmentation],
+[schedule] and [predictor] are the field names of the dataclass the section
+builds (CodecConfig, TrainParams, AugmentConfig, BridgeSchedule,
+PredictorConfig), and a missing key takes the field's default. [degradation]
+and [anytoany] give ranges by their ends (cutoff_lo/cutoff_hi, orders,
+f_target_lo/f_target_hi); [stage] names checkpoint paths by kind (codec,
+predictor). Every missing required key, and every key a parser does not read
+in a section it reads, raises ConfigError naming the key and section, so a
+typo fails loudly instead of training the wrong model.
 """
 
 from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .bridge import BridgeSchedule
 from .codec import CodecConfig
@@ -19,6 +25,7 @@ from .pipeline import AnyToAnyConfig, AugmentConfig, DegradationPolicy, StageCon
 from .predictor import PredictorConfig
 
 _REQUIRED = object()
+_ABSENT = object()
 
 
 class ConfigError(ValueError):
@@ -95,28 +102,30 @@ def _str_tuple(raw: str) -> tuple:
     return tuple(x for x in raw.replace(",", " ").split())
 
 
-def parse_train_params(ini: IniFile) -> TrainParams:
-    d = TrainParams()
-    return TrainParams(
-        steps=ini.get("training", "steps", int, d.steps),
-        batch_size=ini.get("training", "batch_size", int, d.batch_size),
-        crop_frames=ini.get("training", "crop_frames", int, d.crop_frames),
-        lr=ini.get("training", "lr", float, d.lr),
-        log_every=ini.get("training", "log_every", int, d.log_every),
-    )
+# every tuple field of a section read_section builds holds ints
+_CASTS = {"int": int, "float": float, "str": str, "bool": bool, "tuple": _int_tuple}
+
+
+def read_section(ini: IniFile, section: str, cls, **given):
+    """Build dataclass `cls` from the keys of [section] named like its fields.
+
+    A missing key takes the field default; a field without one is required.
+    Fields passed in `given` are set by the caller and are not keys.
+    """
+    kwargs = dict(given)
+    for f in fields(cls):
+        if f.init and f.name not in given:
+            required = f.default is MISSING and f.default_factory is MISSING
+            value = ini.get(section, f.name, _CASTS[f.type], _REQUIRED if required else _ABSENT)
+            if value is not _ABSENT:
+                kwargs[f.name] = value
+    return cls(**kwargs)
 
 
 def parse_codec_config(path: str) -> tuple[CodecConfig, TrainParams]:
     ini = read_ini(path)
-    cfg = CodecConfig(
-        sample_rate=ini.get("codec", "sample_rate", int),
-        ratio=ini.get("codec", "ratio", int, 16),
-        channels=ini.get("codec", "channels", int, 8),
-        strides=ini.get("codec", "strides", _int_tuple, (2, 2, 2, 2)),
-        widths=ini.get("codec", "widths", _int_tuple, (16, 24, 32, 32)),
-        kl_weight=ini.get("codec", "kl_weight", float, 1e-7),
-    )
-    tp = parse_train_params(ini)
+    cfg = read_section(ini, "codec", CodecConfig)
+    tp = read_section(ini, "training", TrainParams)
     ini.reject_unread()
     return cfg, tp
 
@@ -129,7 +138,7 @@ def parse_policy(ini: IniFile) -> DegradationPolicy | None:
     return DegradationPolicy(
         cutoff_range=(lo, hi),
         families=ini.get("degradation", "families", _str_tuple, DegradationPolicy.families),
-        order_range=ini.get("degradation", "orders", _int_tuple, (2, 10)),
+        order_range=ini.get("degradation", "orders", _int_tuple, DegradationPolicy.order_range),
     )
 
 
@@ -155,48 +164,28 @@ def parse_stage_config(path: str) -> tuple[StageConfig, TrainParams, BridgeSched
             f_target_range=(
                 ini.get("anytoany", "f_target_lo", float),
                 ini.get("anytoany", "f_target_hi", float),
-            ),
-            min_usable_hz=ini.get("anytoany", "min_usable_hz", float, 1000.0),
+            )
         )
     augmentation = None
     if ini.has_section("augmentation"):
-        augmentation = AugmentConfig(
-            lpf_margin_hz=ini.get("augmentation", "lpf_margin_hz", float, 300.0),
-            train_margin_max_hz=ini.get("augmentation", "train_margin_max_hz", float, 600.0),
-            blur_max=ini.get("augmentation", "blur_max", float, 1.0),
-            blur_star=ini.get("augmentation", "blur_star", float, 0.3),
-        )
+        augmentation = read_section(ini, "augmentation", AugmentConfig)
     if anytoany is not None and augmentation is not None:
         raise ConfigError(f"{path}: a stage is either [anytoany] or [augmentation], not both")
 
     stage = StageConfig(
         target_sr=ini.get("stage", "target_sr", int),
-        codec_path=_path(ini.get("stage", "codec", str, "")),
-        predictor_path=_path(ini.get("stage", "predictor", str, "")),
-        scale=ini.get("stage", "scale", float, None),
+        codec_path=_path(ini.get("stage", "codec", str, StageConfig.codec_path)),
+        predictor_path=_path(ini.get("stage", "predictor", str, StageConfig.predictor_path)),
         degradation=parse_policy(ini),
         anytoany=anytoany,
         augmentation=augmentation,
-        window_frames=ini.get("stage", "window_frames", int, 64),
-        post_replace=ini.get("stage", "post_replace", bool, False),
+        window_frames=ini.get("stage", "window_frames", int, StageConfig.window_frames),
+        post_replace=ini.get("stage", "post_replace", bool, StageConfig.post_replace),
     )
-
-    sched = BridgeSchedule(
-        g_min_sq=ini.get("schedule", "g_min_sq", float, 0.001),
-        g_max_sq=ini.get("schedule", "g_max_sq", float, 1.0),
-        profile=ini.get("schedule", "profile", str, "triangular"),
-    )
-
+    sched = read_section(ini, "schedule", BridgeSchedule)
     pred_cfg = None
     if ini.has_section("predictor"):
-        pred_cfg = PredictorConfig(
-            latent_channels=ini.get("predictor", "latent_channels", int, 8),
-            width=ini.get("predictor", "width", int, 32),
-            kernel=ini.get("predictor", "kernel", int, 5),
-            dilations=ini.get("predictor", "dilations", _int_tuple, (1, 2, 4, 8, 1, 2, 4, 8)),
-            embed_dim=ini.get("predictor", "embed_dim", int, 64),
-            use_blur_token=augmentation is not None,
-        )
-    tp = parse_train_params(ini)
+        pred_cfg = read_section(ini, "predictor", PredictorConfig, use_blur_token=augmentation is not None)
+    tp = read_section(ini, "training", TrainParams)
     ini.reject_unread()
     return stage, tp, sched, pred_cfg

@@ -2,8 +2,7 @@
 
 lsd / lsd_band / spectral_ssim compare spectrograms (see dsp.stft);
 mrstft compares batched waveforms across several STFT resolutions as an
-autodiff graph on nn.stft_mag frames. The codec trains on it, and
-mrstft_loss evaluates the same graph on one waveform pair.
+autodiff graph on nn.stft_mag frames; the codec trains on it.
 
 Conventions, fixed across the package:
   - LSD uses log10 on squared magnitudes floored at 1e-8, root-mean over
@@ -22,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .dsp import Spectrogram, StftParams, Waveform
+from .dsp import Spectrogram, StftParams
 
 LSD_FLOOR = 1e-8
 MRSTFT_FLOOR = 1e-7
@@ -136,13 +135,3 @@ def mrstft(est: nn.Tensor, ref: np.ndarray, cfg: MrStftConfig) -> nn.Tensor:
         total = term if total is None else total + term
     return total
 
-
-def mrstft_loss(ref: Waveform, est: Waveform, cfg: MrStftConfig | None = None) -> float:
-    """mrstft of one waveform pair, as a float."""
-    cfg = cfg or MrStftConfig()
-    if ref.sample_rate != est.sample_rate:
-        raise ValueError(f"sample rates differ: {ref.sample_rate} vs {est.sample_rate}")
-    if len(ref) != len(est):
-        raise ValueError(f"lengths differ: {len(ref)} vs {len(est)}")
-    with nn.no_grad():
-        return float(mrstft(nn.Tensor(est.samples[None, :]), ref.samples[None, :], cfg).data)

@@ -433,15 +433,7 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
 # ------------------------------------------------------------------- layers
 
 
-class Layer:
-    def named_params(self, prefix: str) -> list[tuple[str, Tensor]]:
-        raise NotImplementedError
-
-    def params(self) -> list[Tensor]:
-        return [t for _, t in self.named_params("")]
-
-
-class Conv1d(Layer):
+class Conv1d:
     """Conv layer with 'same' reflect padding (output length ceil(L/stride))."""
 
     def __init__(self, cin, cout, k, rng, stride=1, dilation=1, zero_init=False):
@@ -467,7 +459,7 @@ class Conv1d(Layer):
         return [(f"{prefix}.w", self.w), (f"{prefix}.b", self.b)]
 
 
-class ConvT1d(Layer):
+class ConvT1d:
     """Transposed conv producing exactly L*stride outputs (centered crop)."""
 
     def __init__(self, cin, cout, k, rng, stride=1):
@@ -489,7 +481,7 @@ class ConvT1d(Layer):
         return [(f"{prefix}.w", self.w), (f"{prefix}.b", self.b)]
 
 
-class Linear(Layer):
+class Linear:
     def __init__(self, cin, cout, rng, zero_init=False):
         if zero_init:
             w = np.zeros((cin, cout))

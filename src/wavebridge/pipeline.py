@@ -24,6 +24,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -92,7 +93,6 @@ class AnyToAnyConfig:
     """Target-band draw for first-stage training pairs."""
 
     f_target_range: tuple
-    min_usable_hz: float = MIN_USABLE_HZ
 
     def __post_init__(self):
         lo, hi = self.f_target_range
@@ -123,7 +123,6 @@ class StageConfig:
     target_sr: int
     codec_path: str = ""
     predictor_path: str = ""
-    scale: float | None = None
     degradation: DegradationPolicy | None = None
     anytoany: AnyToAnyConfig | None = None
     augmentation: AugmentConfig | None = None
@@ -149,15 +148,13 @@ class BlurKernel:
     so blurring with a tiny ratio is the identity.
     """
 
+    half_width: ClassVar[int] = 2
     blur_ratio: float
-    half_width: int = 2
     weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.blur_ratio < 0:
             raise ValueError("blur_ratio must be >= 0")
-        if self.half_width < 1:
-            raise ValueError("half_width must be >= 1")
         tau = np.arange(-self.half_width, self.half_width + 1, dtype=np.float64)
         if self.blur_ratio == 0.0:
             w = (tau == 0).astype(np.float64)
@@ -214,7 +211,7 @@ def prepare_anytoany_pair(
         x_hr = lowpass(wav, f_target)
 
     spec = policy.draw(rng)
-    f_prior = min(max(spec.cutoff_hz, target_cfg.min_usable_hz), 0.95 * f_target)
+    f_prior = min(max(spec.cutoff_hz, MIN_USABLE_HZ), 0.95 * f_target)
     spec = FilterSpec(spec.family, spec.order, f_prior, spec.ripple_db, spec.stop_atten_db)
     sections = design_lowpass(spec, wav.sample_rate)
     x_lr = apply_filter(x_hr, sections)
@@ -223,18 +220,18 @@ def prepare_anytoany_pair(
 
 def _target_ceiling(f_eff: float, nyquist: float, target_cfg: AnyToAnyConfig) -> float | None:
     """Highest target band a clip of bandwidth f_eff allows, or None if it is unusable."""
-    if f_eff < target_cfg.min_usable_hz:
+    if f_eff < MIN_USABLE_HZ:
         return None
     hi_t = min(target_cfg.f_target_range[1], f_eff, nyquist)
-    return hi_t if hi_t > target_cfg.min_usable_hz else None
+    return hi_t if hi_t > MIN_USABLE_HZ else None
 
 
-def blur_latent(z: np.ndarray, blur_ratio: float, half_width: int = 2) -> np.ndarray:
+def blur_latent(z: np.ndarray, blur_ratio: float) -> np.ndarray:
     """Gaussian-blur latent frames along time, each channel independently.
 
     z is an array whose last axis is time; reflect padding at the ends.
     """
-    kern = BlurKernel(blur_ratio, half_width)
+    kern = BlurKernel(blur_ratio)
     k = kern.half_width
     if z.shape[-1] <= k:
         raise ValueError(f"latent too short to blur: {z.shape[-1]} frames vs half-width {k}")
@@ -333,8 +330,8 @@ def train_stage(
         a2a = stage_cfg.anytoany
         if all(_target_ceiling(f, w.nyquist, a2a) is None for w, f in zip(corpus, f_eff_cache)):
             raise NoUsableClipsError(
-                f"all {len(corpus)} clips rejected: a target band must exceed min_usable_hz="
-                f"{a2a.min_usable_hz:g} Hz, but the detected bandwidths are "
+                f"all {len(corpus)} clips rejected: a target band must exceed "
+                f"{MIN_USABLE_HZ:g} Hz, but the detected bandwidths are "
                 f"{min(f_eff_cache):.0f}-{max(f_eff_cache):.0f} Hz and f_target_range ends at "
                 f"{a2a.f_target_range[1]:g} Hz"
             )
@@ -477,8 +474,6 @@ class Stage:
     def load(cfg: StageConfig) -> "Stage":
         codec, scale = load_codec(cfg.codec_path)
         predictor, sched = load_predictor(cfg.predictor_path)
-        if cfg.scale is not None:
-            scale = cfg.scale
         return Stage(cfg, codec, predictor, sched, scale)
 
 
@@ -555,13 +550,11 @@ def _stage_infer(
 ) -> Waveform:
     """Run one stage: detect, low-pass, resample, encode, sample, decode."""
     cfg = stage.cfg
-    est = estimate_f_eff(x)
-    f_prior = min(est.f_eff, x.nyquist)
-
+    # clamp first, so the input keeps the band its prior token claims
+    f_prior = max(estimate_f_eff(x).f_eff, MIN_USABLE_HZ)
     if f_prior < FULL_BAND_FRAC * x.nyquist:
         x = lowpass(x, f_prior)
     x_r = resample(x, cfg.target_sr) if x.sample_rate != cfg.target_sr else x
-    f_prior = max(f_prior, MIN_USABLE_HZ)
     f_target = cfg.target_sr / 2.0
 
     if cfg.is_cascade:
@@ -569,11 +562,10 @@ def _stage_infer(
         margin = aug.lpf_margin_hz if margin_override is None else margin_override
         blur = aug.blur_star if blur_override is None else blur_override
         enc_in = augment_prior(x_r, f_prior, margin)
-        token_prior = f_prior - margin if margin > 0 else f_prior
     else:
         margin, blur = 0.0, None
         enc_in = x_r
-        token_prior = f_prior
+    token_prior = f_prior - margin
 
     z_cond = stage.codec.encode(enc_in) * stage.scale
     zT = blur_latent(z_cond, blur) if blur is not None else z_cond

@@ -5,7 +5,6 @@ import pytest
 
 from wavebridge.bandwidth import (
     BandwidthEstimate,
-    EstimatorConfig,
     curvature,
     estimate_f_eff,
     magnitude_spectrum,
@@ -44,16 +43,15 @@ def test_curvature_needs_five_points():
 
 
 def test_savgol_reproduces_cubic():
-    cfg = EstimatorConfig()
     i = np.arange(500, dtype=np.float64)
     x = 2.0 + 0.3 * i - 0.01 * i**2 + 1e-4 * i**3
-    out = savgol_smooth(x, cfg)
+    out = savgol_smooth(x)
     assert np.max(np.abs(out - x)) < 1e-8 * np.max(np.abs(x))
 
 
 def test_savgol_rejects_short_input():
     with pytest.raises(ValueError):
-        savgol_smooth(np.zeros(100), EstimatorConfig())  # window is 101
+        savgol_smooth(np.zeros(100))  # window is 101
 
 
 def test_magnitude_spectrum_shape_and_tone():
@@ -68,15 +66,6 @@ def test_magnitude_spectrum_shape_and_tone():
     assert mag[k] == pytest.approx(n / 4, rel=3e-4)
     with pytest.raises(ValueError):
         magnitude_spectrum(Waveform(np.zeros(0), fs))
-
-
-def test_estimator_config_validation():
-    with pytest.raises(ValueError):
-        EstimatorConfig(savgol_window=100)
-    with pytest.raises(ValueError):
-        EstimatorConfig(savgol_window=3, savgol_polyorder=3)
-    with pytest.raises(ValueError):
-        EstimatorConfig(curvature_eps=0.0)
 
 
 def test_estimate_dataclass_validation():
@@ -142,3 +131,36 @@ def test_estimate_accuracy_on_known_cutoffs():
         if abs(est.f_eff - fc) > 0.10 * fc:
             bad.append((float(fc), est.f_eff))
     assert not bad, f"outside 10%: {bad}"
+
+
+# ------------------------------------------------------------- tonal spectra
+# A tone stack is quiet and flat between its harmonics and below its
+# fundamental; those gaps lie inside the band and must not read as its edge.
+
+def _cut_at_2k(x, fs=8000):
+    return lowpass(Waveform(x, fs), 2000.0, family="cheby1", order=8)
+
+
+def test_estimate_harmonic_stacks_read_their_cutoff():
+    fs = 8000
+    t = np.arange(fs) / fs
+    bad = []
+    for seed in range(16):
+        rng = np.random.default_rng(seed)
+        f0 = rng.uniform(110.0, 500.0)
+        k = np.arange(1, int(fs / 2 / f0) + 1)
+        phases = rng.uniform(0.0, 2 * np.pi, len(k))
+        x = (k ** -rng.uniform(0.6, 1.4) * np.sin(2 * np.pi * f0 * k * t[:, None] + phases)).sum(axis=1)
+        est = estimate_f_eff(_cut_at_2k(x)).f_eff
+        # the edge cannot be placed finer than the harmonic spacing below it
+        if not 2000.0 - f0 <= est <= 2200.0:
+            bad.append((round(f0), est))
+    assert not bad, f"(f0, reading) outside [2000 - f0, 2200] Hz: {bad}"
+
+
+def test_estimate_sawtooth_reads_its_cutoff():
+    fs = 8000
+    t = np.arange(fs) / fs
+    saw = 2.0 * ((200.0 * t) % 1.0) - 1.0
+    est = estimate_f_eff(_cut_at_2k(saw)).f_eff
+    assert est == pytest.approx(2000.0, rel=0.10)

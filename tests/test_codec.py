@@ -26,13 +26,14 @@ def _codec(cfg=SMALL, seed=0):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        CodecConfig(ratio=16, strides=(2, 2, 2))  # strides/widths mismatch
+        CodecConfig(8000, ratio=16, strides=(2, 2, 2))  # strides/widths mismatch
     with pytest.raises(ValueError):
-        CodecConfig(ratio=8, strides=(2, 2, 2, 2), widths=(8, 8, 8, 8))
+        CodecConfig(8000, ratio=8, strides=(2, 2, 2, 2), widths=(8, 8, 8, 8))
     with pytest.raises(ValueError):
-        CodecConfig(kl_weight=-1.0)
+        CodecConfig(8000, kl_weight=-1.0)
+    with pytest.raises(TypeError):
+        CodecConfig()  # the rate has no default
     cfg = CodecConfig(sample_rate=16000)
-    assert cfg.frame_rate == 1000.0
     assert CodecConfig.from_dict(cfg.to_dict()) == cfg
 
 
@@ -150,7 +151,7 @@ def test_train_codec_loss_decreases():
     clips = toydata.make_corpus(4, toydata.ToyConfig(), np.random.default_rng(42))
     codec, trace = train_codec(
         clips, SMALL, steps=200, rng=np.random.default_rng(0),
-        batch_size=2, crop_len=1024, log_every=5, mr_cfg=SMALL_MR,
+        batch_size=2, crop_len=2048, log_every=5,
     )
     assert trace[0][0] == 0 and trace[-1][0] == 199
     first = np.mean([r[1] for r in trace[:3]])
@@ -167,7 +168,7 @@ def test_train_codec_deterministic():
     for _ in range(2):
         codec, trace = train_codec(
             clips, SMALL, steps=5, rng=np.random.default_rng(3),
-            batch_size=2, crop_len=1024, log_every=1, mr_cfg=SMALL_MR,
+            batch_size=2, crop_len=2048, log_every=1,
         )
         runs.append((trace, [p.data.copy() for p in codec.params()]))
     assert runs[0][0] == runs[1][0]

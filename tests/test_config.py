@@ -2,6 +2,7 @@
 
 import pytest
 
+from wavebridge import config
 from wavebridge.config import (
     ConfigError,
     parse_codec_config,
@@ -174,3 +175,66 @@ def test_inline_comments_stripped(tmp_path):
     path = _write(tmp_path, "c.ini", "[codec]\nsample_rate = 8000  # full band\n")
     cfg, _ = parse_codec_config(path)
     assert cfg.sample_rate == 8000
+
+
+# Every key each section accepts. A key dropped from or added to this surface
+# changes which files parse, so it changes here on purpose or not at all.
+INI_SURFACE = {
+    "codec": {"sample_rate", "ratio", "channels", "strides", "widths", "kl_weight"},
+    "training": {"steps", "batch_size", "crop_frames", "lr", "log_every"},
+    "stage": {"target_sr", "codec", "predictor", "window_frames", "post_replace"},
+    "degradation": {"cutoff_lo", "cutoff_hi", "families", "orders"},
+    "anytoany": {"f_target_lo", "f_target_hi"},
+    "augmentation": {"lpf_margin_hz", "train_margin_max_hz", "blur_max", "blur_star"},
+    "schedule": {"g_min_sq", "g_max_sq", "profile"},
+    "predictor": {"latent_channels", "width", "kernel", "dilations", "embed_dim"},
+}
+
+
+def _accepted_keys(monkeypatch, parse, path):
+    """Keys per section that `parse` reads; reject_unread refuses every other key there."""
+    files = []
+    real_read_ini = config.read_ini
+
+    def spy(p):
+        files.append(real_read_ini(p))
+        return files[-1]
+
+    monkeypatch.setattr(config, "read_ini", spy)
+    parse(path)
+    return files[0].asked
+
+
+def test_ini_surface_is_pinned(tmp_path, monkeypatch):
+    first = (
+        "[stage]\ntarget_sr = 8000\n[degradation]\ncutoff_lo = 1000\ncutoff_hi = 3000\n"
+        "[anytoany]\nf_target_lo = 4000\nf_target_hi = 4000\n[predictor]\n"
+    )
+    cascade = "[stage]\ntarget_sr = 16000\n[augmentation]\n[predictor]\n"
+    cases = [
+        (parse_codec_config, "[codec]\nsample_rate = 8000\n", ("codec", "training")),
+        (parse_policy_file, "[degradation]\ncutoff_lo = 1000\ncutoff_hi = 3000\n", ("degradation",)),
+        (parse_stage_config, first, ("stage", "degradation", "anytoany", "schedule", "predictor", "training")),
+        (parse_stage_config, cascade, ("stage", "augmentation", "schedule", "predictor", "training")),
+    ]
+    for i, (parse, text, sections) in enumerate(cases):
+        asked = _accepted_keys(monkeypatch, parse, _write(tmp_path, f"{i}.ini", text))
+        assert asked == {sec: INI_SURFACE[sec] for sec in sections}
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("anytoany", "min_usable_hz", "800"),  # the band floor is MIN_USABLE_HZ everywhere
+    ("stage", "scale", "2.0"),  # the latent scale comes from the codec checkpoint
+    ("predictor", "use_blur_token", "yes"),  # set by the stage kind
+])
+def test_stage_config_rejects_keys_outside_the_surface(tmp_path, section, key, value):
+    sections = {
+        "stage": "target_sr = 8000",
+        "degradation": "cutoff_lo = 1000\ncutoff_hi = 3000",
+        "anytoany": "f_target_lo = 4000\nf_target_hi = 4000",
+        "predictor": "",
+    }
+    sections[section] += f"\n{key} = {value}"
+    path = _write(tmp_path, "s.ini", "".join(f"[{s}]\n{body}\n" for s, body in sections.items()))
+    with pytest.raises(ConfigError, match=rf"unknown key '{key}' in section \[{section}\]"):
+        parse_stage_config(path)
