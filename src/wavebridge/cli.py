@@ -28,7 +28,7 @@ from .checkpoint import atomic_write_bytes
 from .codec import fit_latent_scale, train_codec
 from .config import ConfigError, parse_codec_config, parse_policy_file, parse_stage_config
 from .dsp import StftParams, Waveform, stft
-from .metrics import lsd, lsd_band, spectral_ssim
+from .metrics import MrStftConfig, lsd, lsd_band, spectral_ssim
 from .pipeline import Stage, load_codec, save_codec, save_predictor, simulate_lr, train_stage, tune_augmentation, upsample
 from .toydata import ToyConfig, make_clip
 from .wavio import WavFormatError, read_wav, write_wav
@@ -161,6 +161,14 @@ def cmd_detect_bw(args) -> int:
 def cmd_train_codec(args) -> int:
     t0 = time.monotonic()
     cfg, tp = parse_codec_config(args.config)
+    crop_len = tp.crop_frames * cfg.ratio
+    frame = MrStftConfig().longest_frame
+    if crop_len < frame:
+        raise ConfigError(
+            f"{args.config}: [training] crop_frames = {tp.crop_frames} gives {crop_len}-sample crops "
+            f"({cfg.ratio} samples per frame), shorter than the loss's longest STFT frame ({frame}); "
+            f"set crop_frames >= {-(-frame // cfg.ratio)}"
+        )
     corpus = _load_corpus(args.corpus, expect_sr=cfg.sample_rate)
     clips = [w for _, w in corpus]
     rng = np.random.default_rng(args.seed)
@@ -170,7 +178,7 @@ def cmd_train_codec(args) -> int:
 
     codec, trace = train_codec(
         clips, cfg, tp.steps, rng,
-        batch_size=tp.batch_size, crop_len=tp.crop_frames * cfg.ratio,
+        batch_size=tp.batch_size, crop_len=crop_len,
         lr=tp.lr, log_every=tp.log_every, log_cb=progress,
     )
     scale = fit_latent_scale(clips, codec)

@@ -9,7 +9,8 @@ latents have unit spread before they feed the bridge.
 Latents are plain (channels, frames) arrays. Lengths: encode handles any
 input of at least `ratio` samples and yields ceil(L / ratio) frames of the
 posterior mean; decode emits frames * ratio samples and trims back to a known
-original length.
+original length. encode and decode run graph-free, so in float32 (see nn);
+both hand back float64 arrays.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ class Codec:
             raise ValueError(f"input of {len(wav)} samples shorter than one frame ({self.cfg.ratio})")
         with nn.no_grad():
             mu, _ = self.encode_dist(nn.Tensor(wav.samples[None, None, :]))
-        z = mu.data[0]
+        z = mu.data[0].astype(np.float64)
         if not np.all(np.isfinite(z)):  # weights come from checkpoint files
             raise ValueError("latent contains NaN or inf")
         return z
@@ -177,12 +178,14 @@ def train_codec(
     """
     if not clips:
         raise ValueError("empty corpus")
+    mr_cfg = MrStftConfig()
+    if crop_len < mr_cfg.longest_frame:
+        raise ValueError(f"crop of {crop_len} samples is shorter than the loss's longest STFT frame ({mr_cfg.longest_frame})")
     for wav in clips:
         if wav.sample_rate != cfg.sample_rate:
             raise ValueError(f"clip at {wav.sample_rate} Hz in a {cfg.sample_rate} Hz corpus")
         if len(wav) < crop_len:
             raise ValueError(f"clip of {len(wav)} samples shorter than crop {crop_len}")
-    mr_cfg = MrStftConfig()
     codec = Codec(cfg, rng)
     opt = nn.Adam(codec.params(), lr=lr)
     trace = []

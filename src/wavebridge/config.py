@@ -8,9 +8,10 @@ builds (CodecConfig, TrainParams, AugmentConfig, BridgeSchedule,
 PredictorConfig), and a missing key takes the field's default. [degradation]
 and [anytoany] give ranges by their ends (cutoff_lo/cutoff_hi, orders,
 f_target_lo/f_target_hi); [stage] names checkpoint paths by kind (codec,
-predictor). Every missing required key, and every key a parser does not read
-in a section it reads, raises ConfigError naming the key and section, so a
-typo fails loudly instead of training the wrong model.
+predictor). Every missing required key, every key a parser does not read in
+a section it reads, and every section outside SECTIONS raises ConfigError
+naming the key or section, so a typo fails loudly instead of training the
+wrong model.
 """
 
 from __future__ import annotations
@@ -26,6 +27,10 @@ from .predictor import PredictorConfig
 
 _REQUIRED = object()
 _ABSENT = object()
+
+# Every section some parser reads. Any file may hold any of them (a stage
+# config is also a degradation policy file); any other name is a typo.
+SECTIONS = ("codec", "training", "stage", "degradation", "anytoany", "augmentation", "schedule", "predictor")
 
 
 class ConfigError(ValueError):
@@ -72,11 +77,15 @@ class IniFile:
             raise ConfigError(f"{self.path}: bad value for '{key}' in [{section}]: {e}") from e
 
     def reject_unread(self) -> None:
-        """Raise on a key the parser never asked for in a section it read.
+        """Raise on a section outside SECTIONS, or a key the parser never asked
+        for in a section it read.
 
-        Sections the parser did not read are left alone, so one file can serve
-        several commands (a stage config is also a degradation policy).
+        Known sections the parser did not read are left alone, so one file can
+        serve several commands (a stage config is also a degradation policy).
         """
+        for section in self.cp.sections():
+            if section not in SECTIONS:
+                raise ConfigError(f"{self.path}: unknown section [{section}]; known: {', '.join(SECTIONS)}")
         for section, keys in self.asked.items():
             if self.cp.has_section(section):
                 for key in self.cp.options(section):

@@ -48,6 +48,11 @@ class MrStftConfig:
         if not self.resolutions:
             raise ValueError("need at least one STFT resolution")
 
+    @property
+    def longest_frame(self) -> int:
+        """Shortest signal, in samples, that every resolution can frame."""
+        return max(p.fft_size for p in self.resolutions)
+
 
 def _check_shapes(ref: Spectrogram, est: Spectrogram) -> None:
     if ref.bins.shape != est.bins.shape:

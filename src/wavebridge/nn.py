@@ -1,11 +1,11 @@
-"""Minimal reverse-mode autodiff on float64 numpy, plus the layers and
-optimizer the package trains with.
+"""Minimal reverse-mode autodiff on numpy, plus the layers and optimizer the
+package trains with.
 
 Scope is deliberately small: exactly the operations the codec and the noise
 predictor need (elementwise arithmetic, tanh/exp/log/abs, axis reductions,
 matmul, 1-D convolutions via the kernels module, reflect padding, slicing and
 concatenation on the last axis, and a differentiable magnitude STFT whose
-backward pass is the rfft adjoint). Everything runs in float64 so central
+backward pass is the rfft adjoint). Graphs run in float64 so central
 finite differences agree with analytic gradients to ~1e-6, which the
 grad_check utility (and an acceptance gate) enforces.
 
@@ -13,6 +13,13 @@ Inside `with no_grad():` operations record no graph: outputs carry
 requires_grad False and hold no parents or backward closure, so a forward
 pass keeps only the activations still in use. The switch is per thread, so
 a graph built on one thread is unaffected by another thread's block.
+
+Dtype rule: the Tensor constructor keeps a float32 array as float32 and
+stores anything else as float64. With grad on, every op output is float64
+as its inputs are. Under no_grad every op output is stored as float32, so a
+graph-free forward computes in float32 after its first op: binary ops cast a
+float64 operand down when the other is float32, and the conv ops compute in
+the dtype of their input activation and add their bias without promoting it.
 
 No broadcasting surprises: binary ops follow numpy broadcasting and gradients
 are summed back over broadcast axes.
@@ -34,7 +41,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: str = ""):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._backward = None
@@ -99,12 +107,23 @@ def _node(data, parents, backward_fn) -> Tensor:
     # backward_fn receives the output gradient as its argument instead of
     # reading it off the output, so a graph holds no reference cycle and is
     # freed without the cyclic garbage collector.
+    if not _GRAD_MODE.enabled:
+        return Tensor(np.asarray(data, dtype=np.float32))
     out = Tensor(data)
-    out.requires_grad = _GRAD_MODE.enabled and any(p.requires_grad for p in parents)
+    out.requires_grad = any(p.requires_grad for p in parents)
     if out.requires_grad:
         out._parents = tuple(parents)
         out._backward = backward_fn
     return out
+
+
+def _operands(a: Tensor, b: Tensor) -> tuple[np.ndarray, np.ndarray]:
+    """The data of a binary op's inputs. Under no_grad a float32 activation
+    meeting a float64 parameter or constant is not promoted: both go float32."""
+    x, y = a.data, b.data
+    if not _GRAD_MODE.enabled and x.dtype != y.dtype:
+        return x.astype(np.float32, copy=False), y.astype(np.float32, copy=False)
+    return x, y
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -146,7 +165,8 @@ def backward(loss: Tensor) -> None:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data + b.data
+    x, y = _operands(a, b)
+    out_data = x + y
 
     def back(g):
         if a.requires_grad:
@@ -158,7 +178,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data * b.data
+    x, y = _operands(a, b)
+    out_data = x * y
 
     def back(g):
         if a.requires_grad:
@@ -264,7 +285,8 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data @ b.data
+    x, y = _operands(a, b)
+    out_data = x @ y
 
     def back(g):
         if a.requires_grad:
@@ -357,7 +379,7 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1, di
     """Valid 1-D convolution: x (N,Ci,L), w (Co,Ci,K) -> (N,Co,Lo)."""
     out_data = kernels.conv1d_fwd(x.data, w.data, stride, dilation)
     if bias is not None:
-        out_data = out_data + bias.data[None, :, None]
+        out_data += bias.data[None, :, None].astype(out_data.dtype, copy=False)
     parents = (x, w) if bias is None else (x, w, bias)
 
     def back(g):
@@ -375,7 +397,7 @@ def conv_transpose1d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: i
     """Transposed 1-D convolution: x (N,Ci,L), w (Ci,Co,K) -> (N,Co,(L-1)*stride+K)."""
     out_data = kernels.convt1d_fwd(x.data, w.data, stride)
     if bias is not None:
-        out_data = out_data + bias.data[None, :, None]
+        out_data += bias.data[None, :, None].astype(out_data.dtype, copy=False)
     parents = (x, w) if bias is None else (x, w, bias)
 
     def back(g):

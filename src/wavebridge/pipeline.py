@@ -267,7 +267,7 @@ def _encode_batch(codec: Codec, batch: np.ndarray, scale: float) -> np.ndarray:
     """Posterior-mean latents for a (N, L) batch, rescaled for the bridge."""
     with nn.no_grad():
         mu, _ = codec.encode_dist(nn.Tensor(batch[:, None, :]))
-    return mu.data * scale
+    return mu.data.astype(np.float64) * scale
 
 
 def train_stage(

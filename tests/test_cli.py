@@ -143,6 +143,20 @@ def test_train_codec_missing_key_exits_one(toy_dir, tmp_path, capsys):
     assert "[codec]" in err
 
 
+def test_train_codec_short_crop_names_the_key(toy_dir, tmp_path, capsys):
+    # crop_frames defaults to 64, and 64 frames of 16 samples are shorter than
+    # the loss's 2048-sample frame
+    cfg = tmp_path / "codec.ini"
+    cfg.write_text("[codec]\nsample_rate = 8000\n")
+    rc = main(["train-codec", "--config", str(cfg), "--corpus", toy_dir,
+               "--out", str(tmp_path / "c.ckpt")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "[training] crop_frames = 64" in err
+    assert "1024" in err and "2048" in err
+    assert not (tmp_path / "c.ckpt").exists()
+
+
 def test_upsample_missing_stage_config_exits_one(toy_dir, tmp_path, capsys):
     rc = main(["upsample", os.path.join(toy_dir, "toy_0000.wav"), str(tmp_path / "o.wav"),
                "--stage", str(tmp_path / "nope.ini")])

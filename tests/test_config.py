@@ -238,3 +238,37 @@ def test_stage_config_rejects_keys_outside_the_surface(tmp_path, section, key, v
     path = _write(tmp_path, "s.ini", "".join(f"[{s}]\n{body}\n" for s, body in sections.items()))
     with pytest.raises(ConfigError, match=rf"unknown key '{key}' in section \[{section}\]"):
         parse_stage_config(path)
+
+
+@pytest.mark.parametrize("typo", ["schedul", "predicter"])
+def test_unknown_section_is_named(tmp_path, typo):
+    path = _write(
+        tmp_path, "s.ini",
+        f"[stage]\ntarget_sr = 8000\n[degradation]\ncutoff_lo = 1000\ncutoff_hi = 3000\n"
+        f"[anytoany]\nf_target_lo = 4000\nf_target_hi = 4000\n[{typo}]\nwidth = 8\n",
+    )
+    with pytest.raises(ConfigError, match=rf"unknown section \[{typo}\]"):
+        parse_stage_config(path)
+    with pytest.raises(ConfigError, match=rf"unknown section \[{typo}\]"):
+        parse_policy_file(path)
+
+
+def test_every_known_section_may_share_a_file(tmp_path):
+    # a full stage config is also a degradation policy file
+    path = _write(
+        tmp_path, "s.ini",
+        "[stage]\ntarget_sr = 8000\n[degradation]\ncutoff_lo = 1000\ncutoff_hi = 3000\n"
+        "[anytoany]\nf_target_lo = 4000\nf_target_hi = 4000\n[schedule]\n[predictor]\nwidth = 8\n"
+        "[training]\nsteps = 3\n",
+    )
+    assert parse_stage_config(path)[3].width == 8
+    assert parse_policy_file(path).cutoff_range == (1000.0, 3000.0)
+
+
+def test_bench_stage_configs_parse():
+    from pathlib import Path
+
+    inis = sorted((Path(__file__).resolve().parents[1] / "wbbench" / "ckpt").glob("stage*.ini"))
+    assert inis
+    for ini in inis:
+        assert parse_stage_config(str(ini))[0].window_frames == 64

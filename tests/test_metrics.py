@@ -23,8 +23,7 @@ from wavebridge.metrics import (
 
 def _mrstft_pair(ref, est, cfg=None):
     """mrstft of one waveform pair, as a float."""
-    with nn.no_grad():
-        return float(mrstft(nn.Tensor(est[None, :]), ref[None, :], cfg or MrStftConfig()).data)
+    return float(mrstft(nn.Tensor(est[None, :]), ref[None, :], cfg or MrStftConfig()).data)
 
 
 def _spec(mag, sr=8000, fft_size=256):

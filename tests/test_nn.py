@@ -325,3 +325,34 @@ def test_no_grad_is_per_thread(rng):
     assert seen["grad"] is not None and np.all(seen["grad"] > 0)
     assert seen["after"]
     assert nn.tanh(a).requires_grad
+
+
+def test_no_grad_outputs_are_float32_and_the_constructor_keeps_dtypes(rng):
+    assert nn.Tensor(np.ones(3, dtype=np.float32)).data.dtype == np.float32
+    assert nn.Tensor(np.ones(3)).data.dtype == np.float64
+    assert nn.Tensor([1, 2]).data.dtype == np.float64
+    conv = nn.Conv1d(2, 3, 3, rng)
+    x = nn.Tensor(rng.standard_normal((2, 2, 32)))
+    with nn.no_grad():
+        built = nn.Tensor(rng.standard_normal(4))  # constructed, not computed: stays float64
+        h = conv(x)
+        outs = [h, nn.tanh(h), h + h, nn.concat_last([h, h]), nn.slice_last(h, 1, 5)]
+    assert built.data.dtype == np.float64
+    assert all(out.data.dtype == np.float32 for out in outs)
+    assert conv.w.data.dtype == np.float64 and conv(x).data.dtype == np.float64
+    assert np.allclose(h.data, conv(x).data, rtol=0, atol=1e-5)
+
+
+def test_no_grad_binary_ops_do_not_promote_float32(rng):
+    # a float64 operand is cast down first; promoting and rounding the result
+    # back gives other bits for about a third of these pairs
+    a = rng.standard_normal(1000).astype(np.float32)
+    b = rng.standard_normal(1000)
+    with nn.no_grad():
+        added = nn.add(nn.Tensor(a), nn.Tensor(b)).data
+        product = nn.mul(nn.Tensor(a), nn.Tensor(b)).data
+    assert np.array_equal(added, a + b.astype(np.float32))
+    assert np.array_equal(product, a * b.astype(np.float32))
+    assert not np.array_equal(added, (a + b).astype(np.float32))
+    # with grad on, mixed operands follow numpy promotion as before
+    assert nn.add(nn.Tensor(a), nn.Tensor(b)).data.dtype == np.float64

@@ -157,7 +157,9 @@ def test_forward_is_deterministic(rng):
     assert a.shape == (1, 2, 16)
 
 
-def test_forward_same_bytes_without_graph(rng):
+def test_forward_without_graph_float32_close_to_graph(rng):
+    # Over 20 seeded models of this shape the largest deviation of the float32
+    # graph-free forward was 2.5e-7 of the largest absolute output.
     p = _nudge(_make(PredictorConfig(latent_channels=2, width=8, kernel=3, dilations=(1, 2), embed_dim=16, use_blur_token=True)))
     z = nn.Tensor(rng.standard_normal((3, 2, 12)))
     zc = nn.Tensor(rng.standard_normal((3, 2, 12)))
@@ -166,7 +168,8 @@ def test_forward_same_bytes_without_graph(rng):
     with nn.no_grad():
         without = p.forward(z, cond, zc)
     assert with_graph.requires_grad and not without.requires_grad
-    assert np.array_equal(with_graph.data, without.data)
+    assert with_graph.data.dtype == np.float64 and without.data.dtype == np.float32
+    assert np.max(np.abs(without.data - with_graph.data)) <= 2e-6 * np.max(np.abs(with_graph.data))
 
 
 def test_param_count_and_names(rng):
