@@ -87,6 +87,8 @@ def load_checkpoint(path: str) -> tuple[str, dict, dict, dict]:
             arr = np.frombuffer(raw, dtype=np.float32, count=count, offset=ofs)
         except ValueError as e:
             raise CheckpointError(f"{path}: truncated payload for tensor {row['name']!r}") from e
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"{path}: tensor {row['name']!r} holds NaN or inf")
         tensors[row["name"]] = arr.reshape(shape).astype(np.float64)
         ofs += count * 4
     return meta["kind"], meta["config"], tensors, meta.get("extra", {})

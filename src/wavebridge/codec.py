@@ -79,6 +79,8 @@ class Codec:
             self.dec.append(nn.ConvT1d(cin, w, 2 * s, rng, stride=s))
             cin = w
         self.dec_out = nn.Conv1d(cin, 1, 3, rng)
+        for name, t in self.named_params():
+            t.name = name
 
     def named_params(self) -> list[tuple[str, nn.Tensor]]:
         out = []
@@ -103,8 +105,8 @@ class Codec:
             h = nn.tanh(layer(h))
         h = self.enc_head(h)
         c = self.cfg.channels
-        mu = nn.slice_channels(h, 0, c)
-        logvar = nn.slice_channels(h, c, 2 * c)
+        mu = nn.narrow(h, 1, 0, c)
+        logvar = nn.narrow(h, 1, c, 2 * c)
         return mu, logvar
 
     def decode_graph(self, z: nn.Tensor) -> nn.Tensor:
@@ -122,7 +124,7 @@ class Codec:
         if len(wav) < self.cfg.ratio:
             raise ValueError(f"input of {len(wav)} samples shorter than one frame ({self.cfg.ratio})")
         with nn.no_grad():
-            mu, _ = self.encode_dist(nn.Tensor(wav.samples[None, None, :]))
+            mu, _ = self.encode_dist(nn.Tensor(wav.samples[None, None, :].astype(np.float32)))
         z = mu.data[0].astype(np.float64)
         if not np.all(np.isfinite(z)):  # weights come from checkpoint files
             raise ValueError("latent contains NaN or inf")
@@ -149,7 +151,7 @@ def vae_loss(codec: Codec, batch: np.ndarray, rng: np.random.Generator, mr_cfg: 
     noise = rng.standard_normal(mu.shape)
     z = mu + nn.exp(nn.Tensor(0.5) * logvar) * nn.Tensor(noise)
     recon = codec.decode_graph(z)
-    recon = nn.reshape(nn.slice_last(recon, 0, length), (n, length))
+    recon = nn.reshape(nn.narrow(recon, -1, 0, length), (n, length))
     total = mrstft(recon, batch, mr_cfg)
 
     # KL(q || N(0,1)) summed over latent entries, mean over the batch

@@ -2,24 +2,27 @@
 package trains with.
 
 Scope is deliberately small: exactly the operations the codec and the noise
-predictor need (elementwise arithmetic, tanh/exp/log/abs, axis reductions,
-matmul, 1-D convolutions via the kernels module, reflect padding, slicing and
-concatenation on the last axis, and a differentiable magnitude STFT whose
-backward pass is the rfft adjoint). Graphs run in float64 so central
-finite differences agree with analytic gradients to ~1e-6, which the
-grad_check utility (and an acceptance gate) enforces.
+predictor need (elementwise arithmetic, tanh/exp/log/abs/sqrt, axis
+reductions, matmul, 1-D convolutions via the kernels module, reflect padding,
+one slice op `narrow` and one concat op `concat` on any axis, and a
+differentiable magnitude STFT whose backward pass is the rfft adjoint).
+Graphs run in float64 so central finite differences agree with analytic
+gradients to ~1e-6, which the grad_check utility (and an acceptance gate)
+enforces.
 
 Inside `with no_grad():` operations record no graph: outputs carry
 requires_grad False and hold no parents or backward closure, so a forward
 pass keeps only the activations still in use. The switch is per thread, so
 a graph built on one thread is unaffected by another thread's block.
 
-Dtype rule: the Tensor constructor keeps a float32 array as float32 and
+Dtype rule, which lives here alone (the kernels only follow numpy's type
+promotion): the Tensor constructor keeps a float32 array as float32 and
 stores anything else as float64. With grad on, every op output is float64
 as its inputs are. Under no_grad every op output is stored as float32, so a
-graph-free forward computes in float32 after its first op: binary ops cast a
-float64 operand down when the other is float32, and the conv ops compute in
-the dtype of their input activation and add their bias without promoting it.
+graph-free forward computes in float32 after its first op: `_operands` casts
+a float64 operand down when the other is float32, for the binary ops and for
+the conv ops' input and weight alike, and the conv ops add their bias
+without promoting.
 
 No broadcasting surprises: binary ops follow numpy broadcasting and gradients
 are summed back over broadcast axes.
@@ -40,14 +43,14 @@ from .dsp import StftParams
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
 
-    def __init__(self, data, requires_grad: bool = False, name: str = ""):
+    def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data)
         self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._backward = None
         self._parents: tuple[Tensor, ...] = ()
-        self.name = name
+        self.name = ""  # set by the model that owns a parameter
 
     @property
     def shape(self):
@@ -198,18 +201,12 @@ def neg(a: Tensor) -> Tensor:
     return _node(-a.data, (a,), back)
 
 
-def pow_const(a: Tensor, p: float) -> Tensor:
-    out_data = a.data**p
-
+def sqrt(a: Tensor) -> Tensor:
     def back(g):
         if a.requires_grad:
-            a.accumulate(g * p * a.data ** (p - 1.0))
+            a.accumulate(g * 0.5 * a.data**-0.5)
 
-    return _node(out_data, (a,), back)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    return pow_const(a, 0.5)
+    return _node(a.data**0.5, (a,), back)
 
 
 def exp(a: Tensor) -> Tensor:
@@ -305,53 +302,30 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _node(a.data.reshape(shape), (a,), back)
 
 
-def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
-    def back(g):
-        if a.requires_grad:
-            ga = np.zeros_like(a.data)
-            ga[..., start:stop] = g
-            a.accumulate(ga)
-
-    return _node(a.data[..., start:stop], (a,), back)
-
-
-def concat_last(parts: list[Tensor]) -> Tensor:
-    out_data = np.concatenate([p.data for p in parts], axis=-1)
-    sizes = [p.data.shape[-1] for p in parts]
-
-    def back(g):
-        ofs = 0
-        for p, sz in zip(parts, sizes):
-            if p.requires_grad:
-                p.accumulate(g[..., ofs : ofs + sz])
-            ofs += sz
-
-    return _node(out_data, tuple(parts), back)
-
-
-def slice_channels(a: Tensor, start: int, stop: int) -> Tensor:
-    """Slice a (N, C, L) tensor along the channel axis."""
+def narrow(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
+    """a[start:stop] along `axis`."""
+    idx = [slice(None)] * a.data.ndim
+    idx[axis] = slice(start, stop)
+    idx = tuple(idx)
 
     def back(g):
         if a.requires_grad:
             ga = np.zeros_like(a.data)
-            ga[:, start:stop] = g
+            ga[idx] = g
             a.accumulate(ga)
 
-    return _node(a.data[:, start:stop], (a,), back)
+    return _node(a.data[idx], (a,), back)
 
 
-def concat_channels(parts: list[Tensor]) -> Tensor:
-    """Concatenate (N, C_i, L) tensors along the channel axis."""
-    out_data = np.concatenate([p.data for p in parts], axis=1)
-    sizes = [p.data.shape[1] for p in parts]
+def concat(parts: list[Tensor], axis: int) -> Tensor:
+    """Concatenate tensors along `axis`."""
+    out_data = np.concatenate([p.data for p in parts], axis=axis)
+    ends = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
 
     def back(g):
-        ofs = 0
-        for p, sz in zip(parts, sizes):
+        for p, gp in zip(parts, np.split(g, ends, axis=axis)):
             if p.requires_grad:
-                p.accumulate(g[:, ofs : ofs + sz])
-            ofs += sz
+                p.accumulate(gp)
 
     return _node(out_data, tuple(parts), back)
 
@@ -377,7 +351,7 @@ def pad_reflect_last(a: Tensor, left: int, right: int) -> Tensor:
 
 def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1, dilation: int = 1) -> Tensor:
     """Valid 1-D convolution: x (N,Ci,L), w (Co,Ci,K) -> (N,Co,Lo)."""
-    out_data = kernels.conv1d_fwd(x.data, w.data, stride, dilation)
+    out_data = kernels.conv1d_fwd(*_operands(x, w), stride, dilation)
     if bias is not None:
         out_data += bias.data[None, :, None].astype(out_data.dtype, copy=False)
     parents = (x, w) if bias is None else (x, w, bias)
@@ -395,7 +369,7 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1, di
 
 def conv_transpose1d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1) -> Tensor:
     """Transposed 1-D convolution: x (N,Ci,L), w (Ci,Co,K) -> (N,Co,(L-1)*stride+K)."""
-    out_data = kernels.convt1d_fwd(x.data, w.data, stride)
+    out_data = kernels.convt1d_fwd(*_operands(x, w), stride)
     if bias is not None:
         out_data += bias.data[None, :, None].astype(out_data.dtype, copy=False)
     parents = (x, w) if bias is None else (x, w, bias)
@@ -464,8 +438,8 @@ class Conv1d:
             w = np.zeros((cout, cin, k))
         else:
             w = rng.standard_normal((cout, cin, k)) * math.sqrt(1.0 / (cin * k))
-        self.w = Tensor(w, requires_grad=True, name="w")
-        self.b = Tensor(np.zeros(cout), requires_grad=True, name="b")
+        self.w = Tensor(w, requires_grad=True)
+        self.b = Tensor(np.zeros(cout), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         length = x.data.shape[-1]
@@ -489,28 +463,25 @@ class ConvT1d:
             raise ValueError("kernel must be at least the stride")
         self.stride, self.k = stride, k
         w = rng.standard_normal((cin, cout, k)) * math.sqrt(1.0 / (cin * k))
-        self.w = Tensor(w, requires_grad=True, name="w")
-        self.b = Tensor(np.zeros(cout), requires_grad=True, name="b")
+        self.w = Tensor(w, requires_grad=True)
+        self.b = Tensor(np.zeros(cout), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         y = conv_transpose1d(x, self.w, self.b, self.stride)
         extra = self.k - self.stride
         left = extra // 2
         want = x.data.shape[-1] * self.stride
-        return slice_last(y, left, left + want)
+        return narrow(y, -1, left, left + want)
 
     def named_params(self, prefix):
         return [(f"{prefix}.w", self.w), (f"{prefix}.b", self.b)]
 
 
 class Linear:
-    def __init__(self, cin, cout, rng, zero_init=False):
-        if zero_init:
-            w = np.zeros((cin, cout))
-        else:
-            w = rng.standard_normal((cin, cout)) * math.sqrt(1.0 / cin)
-        self.w = Tensor(w, requires_grad=True, name="w")
-        self.b = Tensor(np.zeros(cout), requires_grad=True, name="b")
+    def __init__(self, cin, cout, rng):
+        w = rng.standard_normal((cin, cout)) * math.sqrt(1.0 / cin)
+        self.w = Tensor(w, requires_grad=True)
+        self.b = Tensor(np.zeros(cout), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         return add(matmul(x, self.w), self.b)
@@ -522,12 +493,17 @@ class Linear:
 # ---------------------------------------------------------------- optimizer
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.99
+ADAM_EPS = 1e-8
+
+
 class Adam:
     """Adam with bias correction. Aborts loudly on non-finite gradients."""
 
-    def __init__(self, params: list[Tensor], lr: float, beta1: float = 0.9, beta2: float = 0.99, eps: float = 1e-8):
+    def __init__(self, params: list[Tensor], lr: float):
         self.params = list(params)
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
         self.t = 0
@@ -538,7 +514,7 @@ class Adam:
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for i, p in enumerate(self.params):
             g = p.grad
             if g is None:
@@ -549,7 +525,7 @@ class Adam:
             self.v[i] = b2 * self.v[i] + (1 - b2) * (g * g)
             m_hat = self.m[i] / (1 - b1**self.t)
             v_hat = self.v[i] / (1 - b2**self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # ------------------------------------------------------------ grad checking

@@ -266,7 +266,7 @@ class NoUsableClipsError(ValueError):
 def _encode_batch(codec: Codec, batch: np.ndarray, scale: float) -> np.ndarray:
     """Posterior-mean latents for a (N, L) batch, rescaled for the bridge."""
     with nn.no_grad():
-        mu, _ = codec.encode_dist(nn.Tensor(batch[:, None, :]))
+        mu, _ = codec.encode_dist(nn.Tensor(batch[:, None, :].astype(np.float32)))
     return mu.data.astype(np.float64) * scale
 
 

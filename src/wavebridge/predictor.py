@@ -115,6 +115,8 @@ class Predictor:
             mix = nn.Conv1d(w, w, 1, rng)
             self.blocks.append((conv, mix))
         self.out_proj = nn.Conv1d(w, c, 1, rng, zero_init=True)
+        for name, t in self.named_params():
+            t.name = name
 
     def named_params(self) -> list[tuple[str, nn.Tensor]]:
         out = self.in_proj.named_params("in_proj")
@@ -157,12 +159,10 @@ class Predictor:
         n, c, length = z_t.shape
         if c != self.cfg.latent_channels:
             raise ValueError(f"expected {self.cfg.latent_channels} latent channels, got {c}")
-        stacked_parts = [z_t, z_cond]
-        # channel concat: build (N, 2c, l) by stacking along channels
-        h = nn.concat_channels(stacked_parts)
+        h = nn.concat([z_t, z_cond], 1)
         h = self.in_proj(h)
-        h = nn.concat_last(self._tokens(cond) + [h])
+        h = nn.concat(self._tokens(cond) + [h], -1)
         for conv, mix in self.blocks:
             h = h + mix(nn.tanh(conv(h)))
-        h = nn.slice_last(h, self.cfg.n_tokens, self.cfg.n_tokens + length)
+        h = nn.narrow(h, -1, self.cfg.n_tokens, self.cfg.n_tokens + length)
         return self.out_proj(h)

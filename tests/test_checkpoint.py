@@ -101,6 +101,16 @@ def test_cut_inside_header_length_rejected(tmp_path, rng):
         load_checkpoint(path)
 
 
+def test_non_finite_payload_rejected(tmp_path, rng):
+    for bad in (np.nan, np.inf, -np.inf):
+        tensors = _sample_tensors(rng)
+        tensors["enc.w"][1, 0, 2] = bad
+        path = str(tmp_path / "nan.ckpt")
+        save_checkpoint(path, "codec", {}, tensors)
+        with pytest.raises(CheckpointError, match=r"nan\.ckpt.*'enc\.w'.*NaN or inf"):
+            load_checkpoint(path)
+
+
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_truncated_file_loads_or_raises_named_error(tmp_path_factory, data):

@@ -4,12 +4,14 @@ import csv
 import json
 import os
 import re
+import shutil
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from wavebridge import bridge
+from wavebridge.checkpoint import load_checkpoint, save_checkpoint
 from wavebridge.cli import _rng_for, main
 from wavebridge.codec import Codec, CodecConfig
 from wavebridge.dsp import Waveform, lowpass
@@ -211,6 +213,21 @@ def test_upsample_cli_end_to_end(stage_ini, tmp_path):
     assert sr == 16000
     assert len(samples) == 4096
     assert np.all(np.isfinite(samples))
+
+
+def test_upsample_cli_rejects_non_finite_checkpoint(stage_ini, tmp_path, capsys):
+    ini, in_wav = stage_ini
+    stage_dir = os.path.dirname(ini)
+    kind, config, tensors, extra = load_checkpoint(os.path.join(stage_dir, "pred.ckpt"))
+    tensors["block0.conv.w"].flat[0] = np.nan
+    save_checkpoint(str(tmp_path / "pred.ckpt"), kind, config, tensors, extra)
+    shutil.copy(os.path.join(stage_dir, "codec.ckpt"), tmp_path / "codec.ckpt")
+    shutil.copy(ini, tmp_path / "stage.ini")
+    rc = main(["upsample", in_wav, str(tmp_path / "o.wav"), "--stage", str(tmp_path / "stage.ini"), "--steps", "2"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "pred.ckpt" in err and "'block0.conv.w'" in err
+    assert not (tmp_path / "o.wav").exists()
 
 
 def test_upsample_cli_bit_reproducible(stage_ini, tmp_path):

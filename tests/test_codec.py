@@ -148,6 +148,15 @@ def test_vae_loss_gradients_flow(rng):
     assert any(np.max(np.abs(g)) > 0 for g in grads)
 
 
+def test_adam_error_names_the_codec_parameter():
+    codec = _codec()
+    for _, t in codec.named_params():
+        t.grad = np.zeros_like(t.data)
+    dict(codec.named_params())["enc_head.b"].grad[0] = np.nan
+    with pytest.raises(FloatingPointError, match=r"parameter enc_head\.b"):
+        nn.Adam(codec.params(), lr=1e-3).step()
+
+
 # ------------------------------------------------------------------ training
 
 def test_train_codec_validation(rng):

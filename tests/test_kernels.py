@@ -79,26 +79,3 @@ def test_convt1d_adjoint_identities(rng):
         gw = kernels.convt1d_grad_w(x, gy, stride, k)
         assert lhs == pytest.approx(np.sum(x * gx), rel=1e-10)
         assert lhs == pytest.approx(np.sum(w * gw), rel=1e-10)
-
-
-def test_kernels_compute_in_the_dtype_of_their_first_array(rng):
-    n, ci, co, length, k, stride, dilation = 2, 3, 4, 33, 5, 2, 1
-    x = _rand(rng, n, ci, length)
-    w = _rand(rng, co, ci, k)
-    wt = _rand(rng, ci, co, k)
-    y = kernels.conv1d_fwd(x, w, stride, dilation)
-    gy = _rand(rng, *y.shape)
-    yt = kernels.convt1d_fwd(x, wt, stride)
-    gyt = _rand(rng, *yt.shape)
-    x32, gy32, gyt32 = x.astype(np.float32), gy.astype(np.float32), gyt.astype(np.float32)
-    pairs = [
-        (kernels.conv1d_fwd(x32, w, stride, dilation), y),
-        (kernels.conv1d_grad_x(gy32, w, stride, dilation, length), kernels.conv1d_grad_x(gy, w, stride, dilation, length)),
-        (kernels.conv1d_grad_w(x32, gy, stride, dilation, k), kernels.conv1d_grad_w(x, gy, stride, dilation, k)),
-        (kernels.convt1d_fwd(x32, wt, stride), yt),
-        (kernels.convt1d_grad_x(gyt32, wt, stride), kernels.convt1d_grad_x(gyt, wt, stride)),
-        (kernels.convt1d_grad_w(x32, gyt, stride, k), kernels.convt1d_grad_w(x, gyt, stride, k)),
-    ]
-    for got, want in pairs:
-        assert want.dtype == np.float64 and got.dtype == np.float32
-        assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))

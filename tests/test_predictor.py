@@ -180,6 +180,15 @@ def test_param_count_and_names(rng):
     assert p.param_count() == sum(t.data.size for t in p.params())
 
 
+def test_adam_error_names_the_predictor_parameter():
+    p = _make()
+    for _, t in p.named_params():
+        t.grad = np.zeros_like(t.data)
+    dict(p.named_params())["block1.conv.w"].grad.flat[0] = np.inf
+    with pytest.raises(FloatingPointError, match=r"block1\.conv\.w"):
+        nn.Adam(p.params(), lr=1e-3).step()
+
+
 def test_gradients_match_finite_differences(rng):
     p = _nudge(_make(), seed=3)
     z_t = nn.Tensor(rng.standard_normal((2, 2, 10)))
