@@ -11,6 +11,17 @@ input of at least `ratio` samples and yields ceil(L / ratio) frames of the
 posterior mean; decode emits frames * ratio samples and trims back to a known
 original length. encode and decode run graph-free, so in float32 (see nn);
 both hand back float64 arrays.
+
+encode and decode hold memory bounded in clip length: they run in chunks of
+CHUNK_FRAMES latent frames, each read with HALO_FRAMES frames of real
+neighbours on either side (none past a clip edge), and write each chunk's
+middle into one preallocated output. A chunk starts on a multiple of `ratio`
+samples and an encoder chunk's length matches the clip's modulo `ratio`, so
+every strided layer keeps the whole clip's grid and padding. Every layer's
+kernel is twice its stride, so for any strides the receptive field spans
+under 4 frames and the halo covers it: chunked output equals the whole-clip
+forward up to float32 rounding. A latent of at most CHUNK_FRAMES frames is
+one chunk and computes exactly the whole-clip forward.
 """
 
 from __future__ import annotations
@@ -22,6 +33,9 @@ import numpy as np
 from . import nn
 from .dsp import Waveform
 from .metrics import MrStftConfig, mrstft
+
+CHUNK_FRAMES = 1024
+HALO_FRAMES = 8
 
 
 @dataclass
@@ -123,20 +137,42 @@ class Codec:
             raise ValueError(f"codec trained at {self.cfg.sample_rate} Hz, input is {wav.sample_rate} Hz")
         if len(wav) < self.cfg.ratio:
             raise ValueError(f"input of {len(wav)} samples shorter than one frame ({self.cfg.ratio})")
+        r = self.cfg.ratio
+        frames = -(-len(wav) // r)
+        short = frames * r - len(wav)  # cut so each chunk's length matches the clip's modulo r
+        z = np.empty((self.cfg.channels, frames))
         with nn.no_grad():
-            mu, _ = self.encode_dist(nn.Tensor(wav.samples[None, None, :].astype(np.float32)))
-        z = mu.data[0].astype(np.float64)
+            for lo, start, stop, hi in _chunks(frames):
+                x = wav.samples[lo * r : hi * r - short].astype(np.float32)
+                mu, _ = self.encode_dist(nn.Tensor(x[None, None, :]))
+                z[:, start:stop] = mu.data[0, :, start - lo : stop - lo]
         if not np.all(np.isfinite(z)):  # weights come from checkpoint files
             raise ValueError("latent contains NaN or inf")
         return z
 
     def decode(self, z: np.ndarray, length: int | None = None) -> Waveform:
         """Decode a (channels, frames) latent, trimmed to `length` samples if given."""
+        c, r = self.cfg.channels, self.cfg.ratio
+        if z.ndim != 2 or z.shape[0] != c or z.shape[1] == 0:
+            raise ValueError(f"latent of shape {z.shape}, expected ({c}, frames) with frames >= 1")
+        frames = z.shape[1]
+        if length is not None and length > frames * r:
+            raise ValueError(f"length {length} exceeds the {frames * r} samples that {frames} frames decode to")
+        y = np.empty(frames * r)
         with nn.no_grad():
-            y = self.decode_graph(nn.Tensor(z[None])).data[0, 0]
+            for lo, start, stop, hi in _chunks(frames):
+                part = self.decode_graph(nn.Tensor(z[None, :, lo:hi])).data[0, 0]
+                y[start * r : stop * r] = part[(start - lo) * r : (stop - lo) * r]
         if length is not None:
             y = y[:length]
         return Waveform(y, self.cfg.sample_rate)
+
+
+def _chunks(frames: int):
+    """(lo, start, stop, hi) per chunk: core frames [start, stop) read as [lo, hi) with the halo."""
+    for start in range(0, frames, CHUNK_FRAMES):
+        stop = min(start + CHUNK_FRAMES, frames)
+        yield max(0, start - HALO_FRAMES), start, stop, min(frames, stop + HALO_FRAMES)
 
 
 def vae_loss(codec: Codec, batch: np.ndarray, rng: np.random.Generator, mr_cfg: MrStftConfig) -> tuple[nn.Tensor, float, float]:

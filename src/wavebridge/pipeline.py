@@ -51,6 +51,8 @@ SILENCE_PEAK = 1e-8
 # Detected bandwidth within this fraction of Nyquist counts as full-band,
 # which skips the inference low-pass (a cutoff at Nyquist is not designable).
 FULL_BAND_FRAC = 0.995
+# The stitched sampler predicts at most this many windows in one batch.
+WINDOW_GROUP = 64
 
 
 # ------------------------------------------------------------- domain types
@@ -508,6 +510,13 @@ def _sample_stitched(
     averages the per-window denoised estimates with coverage weights; the
     loop then applies one global transition with a single noise draw, so a
     signal no longer than the window reproduces bridge.sample() bit for bit.
+
+    Memory stays bounded in clip length: a step builds and predicts its
+    windows WINDOW_GROUP at a time, in start order, and adds each group's
+    estimates into the coverage sums before the next. The predictor treats
+    the windows of a batch independently, so grouping gives the result of
+    one batch of every window, exact up to float32 rounding (bit for bit on
+    numpy's einsum kernels).
     """
     length = zT.shape[1]
     blur = cond_vals.get("blur_ratio")
@@ -517,22 +526,24 @@ def _sample_stitched(
         offset = (i * max(1, window // 4)) % window
         starts = window_starts(length, window, hop, offset)
         w_eff = min(window, length)
-        zw = np.stack([z[:, st : st + w_eff] for st in starts])
-        cw = np.stack([z_cond[:, st : st + w_eff] for st in starts])
-        k = len(starts)
-        cond = Conditioning(
-            t=np.full(k, s),
-            f_prior=np.full(k, cond_vals["f_prior"]),
-            f_target=np.full(k, cond_vals["f_target"]),
-            blur_ratio=None if blur is None else np.full(k, blur),
-        )
-        with nn.no_grad():
-            eps_hat = predictor.forward(nn.Tensor(zw), cond, nn.Tensor(cw)).data
         acc = np.zeros_like(z)
         cnt = np.zeros(length)
-        for j, st in enumerate(starts):
-            acc[:, st : st + w_eff] += bridge.estimate_z0(zw[j], eps_hat[j], s, sched)
-            cnt[st : st + w_eff] += 1.0
+        for g in range(0, len(starts), WINDOW_GROUP):
+            group = starts[g : g + WINDOW_GROUP]
+            zw = np.stack([z[:, st : st + w_eff] for st in group])
+            cw = np.stack([z_cond[:, st : st + w_eff] for st in group])
+            k = len(group)
+            cond = Conditioning(
+                t=np.full(k, s),
+                f_prior=np.full(k, cond_vals["f_prior"]),
+                f_target=np.full(k, cond_vals["f_target"]),
+                blur_ratio=None if blur is None else np.full(k, blur),
+            )
+            with nn.no_grad():
+                eps_hat = predictor.forward(nn.Tensor(zw), cond, nn.Tensor(cw)).data
+            for st, z0 in zip(group, bridge.estimate_z0(zw, eps_hat, s, sched)):
+                acc[:, st : st + w_eff] += z0
+                cnt[st : st + w_eff] += 1.0
         return acc / cnt[None, :]
 
     return bridge.run_sampler(estimate, zT, n_steps, rng, sched)

@@ -280,6 +280,36 @@ def test_stitching_preserves_constant_field():
     assert np.array_equal(outs[1], outs[2])
 
 
+class _RecordingStub(_ConstFieldStub):
+    """_ConstFieldStub that records each call's window count and time."""
+
+    def __init__(self, value, sched):
+        super().__init__(value, sched)
+        self.calls = []
+
+    def forward(self, zw, cond, cw):
+        self.calls.append((zw.shape[0], float(cond.t[0])))
+        return super().forward(zw, cond, cw)
+
+
+def test_stitched_predicts_windows_in_bounded_groups():
+    sched = bridge.BridgeSchedule()
+    stub = _RecordingStub(0.75, sched)
+    length, window, n_steps = 2000, 16, 6
+    zT = np.random.default_rng(0).standard_normal((3, length))
+    cond_vals = {"f_prior": 2000.0, "f_target": 4000.0}
+    out = _sample_stitched(stub, zT, np.zeros((3, length)), cond_vals, n_steps,
+                           np.random.default_rng(5), sched, window)
+    assert np.max(np.abs(out - 0.75)) < 1e-12
+    assert max(k for k, _ in stub.calls) == pipeline.WINDOW_GROUP
+    grid = bridge.time_grid(n_steps)
+    for i in range(n_steps):
+        hop = window // 2 if i < n_steps // 2 else window
+        want = len(window_starts(length, window, hop, (i * (window // 4)) % window))
+        assert want > pipeline.WINDOW_GROUP  # every step takes several groups
+        assert sum(k for k, t in stub.calls if t == grid[i]) == want, f"step {i}"
+
+
 # ------------------------------------------------------------ stage training
 
 def _tiny_corpus(n=3, seed=42):

@@ -157,6 +157,25 @@ def test_forward_is_deterministic(rng):
     assert a.shape == (1, 2, 16)
 
 
+def test_forward_windows_are_batch_independent(rng):
+    # the stitched sampler predicts its windows in groups: a batch must give
+    # the bytes of its sub-batches concatenated
+    p = _nudge(_make())
+    n, cut = 150, 64
+    z = rng.standard_normal((n, 2, 20))
+    zc = rng.standard_normal((n, 2, 20))
+    t = rng.uniform(0.1, 1.0, n)
+
+    def run(sl):
+        cond = Conditioning(t=t[sl], f_prior=np.full(len(t[sl]), 2000.0), f_target=np.full(len(t[sl]), 4000.0))
+        return p.forward(nn.Tensor(z[sl]), cond, nn.Tensor(zc[sl])).data
+
+    with nn.no_grad():
+        whole = run(slice(None))
+        parts = np.concatenate([run(slice(None, cut)), run(slice(cut, None))])
+    assert np.array_equal(whole, parts)
+
+
 def test_forward_without_graph_float32_close_to_graph(rng):
     # Over 20 seeded models of this shape the largest deviation of the float32
     # graph-free forward was 2.5e-7 of the largest absolute output.
