@@ -15,6 +15,11 @@ giving piecewise-quadratic closed forms for the variances. A constant profile
 (g^2 = g_max^2) is available for comparison runs. All schedule invariants
 (fwd_0 = 0, rev_1 = 0, fwd^2 + rev^2 = total^2, strict monotonicity) are
 profile-independent and covered by tests.
+
+Time t is one value or one per item. The schedule maps an array t
+elementwise; forward_sample, loss_target and estimate_z0 broadcast a (N,) t
+over the leading axis of their (N, ...) latents, bit for bit equal to the
+per-item calls stacked. A NaN or out-of-range entry raises, naming it.
 """
 
 from __future__ import annotations
@@ -43,33 +48,30 @@ class BridgeSchedule:
         if self.profile not in SCHEDULE_PROFILES:
             raise ValueError(f"unknown profile {self.profile!r}; choices {SCHEDULE_PROFILES}")
 
-    def _check_t(self, t: float) -> float:
-        t = float(t)
-        if not (0.0 <= t <= 1.0):
-            raise ValueError(f"time {t} outside [0, 1]")
+    def _check_t(self, t: float | np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=np.float64)
+        bad = ~((t >= 0.0) & (t <= 1.0))
+        if np.any(bad):
+            raise ValueError(f"time {t[bad].flat[0]} outside [0, 1]")
         return t
 
-    def g_sq(self, t: float) -> float:
+    def g_sq(self, t: float | np.ndarray) -> float | np.ndarray:
         """Squared diffusion coefficient at time t."""
         t = self._check_t(t)
         if self.profile == "constant":
-            return self.g_max_sq
+            return np.full(t.shape, self.g_max_sq)[()]
         lo, hi = self.g_min_sq, self.g_max_sq
-        if t <= 0.5:
-            return lo + (hi - lo) * (2.0 * t)
-        return lo + (hi - lo) * (2.0 * (1.0 - t))
+        return np.where(t <= 0.5, lo + (hi - lo) * (2.0 * t), lo + (hi - lo) * (2.0 * (1.0 - t)))[()]
 
-    def var_fwd(self, t: float) -> float:
+    def var_fwd(self, t: float | np.ndarray) -> float | np.ndarray:
         """Integral of g_sq from 0 to t (variance accumulated from the start)."""
         t = self._check_t(t)
         lo, hi = self.g_min_sq, self.g_max_sq
         if self.profile == "constant":
-            return hi * t
-        if t <= 0.5:
-            return lo * t + (hi - lo) * t * t
+            return (hi * t)[()]
         half = lo * 0.5 + (hi - lo) * 0.25
         u = 1.0 - t
-        return half + lo * (t - 0.5) + (hi - lo) * (0.25 - u * u)
+        return np.where(t <= 0.5, lo * t + (hi - lo) * t * t, half + lo * (t - 0.5) + (hi - lo) * (0.25 - u * u))[()]
 
     @property
     def var_total(self) -> float:
@@ -77,54 +79,59 @@ class BridgeSchedule:
             return self.g_max_sq
         return self.g_min_sq + 0.5 * (self.g_max_sq - self.g_min_sq)
 
-    def std_fwd(self, t: float) -> float:
-        return float(np.sqrt(self.var_fwd(t)))
+    def std_fwd(self, t: float | np.ndarray) -> float | np.ndarray:
+        return np.sqrt(self.var_fwd(t))
 
-    def std_rev(self, t: float) -> float:
-        return float(np.sqrt(max(self.var_total - self.var_fwd(t), 0.0)))
+    def std_rev(self, t: float | np.ndarray) -> float | np.ndarray:
+        return np.sqrt(np.maximum(self.var_total - self.var_fwd(t), 0.0))
 
     @property
     def std_total(self) -> float:
         return float(np.sqrt(self.var_total))
 
 
-def _check_same_shape(a: np.ndarray, b: np.ndarray, what: str) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"{what}: shapes differ {a.shape} vs {b.shape}")
+def _same_shape(what: str, *arrays) -> list[np.ndarray]:
+    """The arrays as float64; raises unless they all have one shape."""
+    out = [np.asarray(a, dtype=np.float64) for a in arrays]
+    shapes = [a.shape for a in out]
+    if len(set(shapes)) > 1:
+        raise ValueError(f"{what}: shapes differ {' vs '.join(map(str, shapes))}")
+    return out
 
 
-def forward_sample(z0: np.ndarray, zT: np.ndarray, t: float, eps: np.ndarray, sched: BridgeSchedule) -> np.ndarray:
+def _per_item(t: float | np.ndarray, z: np.ndarray) -> np.ndarray:
+    """t as an array that broadcasts over z: one time, or one per leading item."""
+    t = np.asarray(t, dtype=np.float64)
+    if t.ndim > 1 or t.shape != z.shape[: t.ndim]:
+        raise ValueError(f"time shape {t.shape} is neither scalar nor one per item of {z.shape}")
+    return t.reshape(t.shape + (1,) * (z.ndim - t.ndim))
+
+
+def forward_sample(z0: np.ndarray, zT: np.ndarray, t: float | np.ndarray, eps: np.ndarray, sched: BridgeSchedule) -> np.ndarray:
     """Draw z_t given both endpoints and a standard-normal eps (deterministic in eps)."""
-    z0 = np.asarray(z0, dtype=np.float64)
-    zT = np.asarray(zT, dtype=np.float64)
-    eps = np.asarray(eps, dtype=np.float64)
-    _check_same_shape(z0, zT, "forward_sample endpoints")
-    _check_same_shape(z0, eps, "forward_sample noise")
-    var_t = sched.var_fwd(t)
+    z0, zT, eps = _same_shape("forward_sample", z0, zT, eps)
+    var_t = sched.var_fwd(_per_item(t, z0))
     var_total = sched.var_total
     w0 = (var_total - var_t) / var_total
     wT = var_t / var_total
-    noise_std = np.sqrt(max(var_total - var_t, 0.0) * var_t / var_total)
+    noise_std = np.sqrt(np.maximum(var_total - var_t, 0.0) * var_t / var_total)
     return w0 * z0 + wT * zT + noise_std * eps
 
 
-def loss_target(z_t: np.ndarray, z0: np.ndarray, t: float, sched: BridgeSchedule) -> np.ndarray:
+def loss_target(z_t: np.ndarray, z0: np.ndarray, t: float | np.ndarray, sched: BridgeSchedule) -> np.ndarray:
     """Noise-prediction training target (z_t - z0) / fwd_std(t). Needs t > 0."""
+    z_t, z0 = _same_shape("loss_target", z_t, z0)
+    t = _per_item(t, z_t)
     std = sched.std_fwd(t)
-    if std <= 0.0:
-        raise ValueError(f"loss target undefined at t={t}: forward std is zero")
-    z_t = np.asarray(z_t, dtype=np.float64)
-    z0 = np.asarray(z0, dtype=np.float64)
-    _check_same_shape(z_t, z0, "loss_target")
+    if np.any(std <= 0.0):
+        raise ValueError(f"loss target undefined at t={t[std <= 0.0].flat[0]}: forward std is zero")
     return (z_t - z0) / std
 
 
-def estimate_z0(z_t: np.ndarray, eps_hat: np.ndarray, t: float, sched: BridgeSchedule) -> np.ndarray:
+def estimate_z0(z_t: np.ndarray, eps_hat: np.ndarray, t: float | np.ndarray, sched: BridgeSchedule) -> np.ndarray:
     """Invert the noise parameterization: z0_hat = z_t - fwd_std(t) * eps_hat."""
-    z_t = np.asarray(z_t, dtype=np.float64)
-    eps_hat = np.asarray(eps_hat, dtype=np.float64)
-    _check_same_shape(z_t, eps_hat, "estimate_z0")
-    return z_t - sched.std_fwd(t) * eps_hat
+    z_t, eps_hat = _same_shape("estimate_z0", z_t, eps_hat)
+    return z_t - sched.std_fwd(_per_item(t, z_t)) * eps_hat
 
 
 def sde_step(z_s: np.ndarray, z0_hat: np.ndarray, s: float, t: float, eps: np.ndarray, sched: BridgeSchedule) -> np.ndarray:
@@ -141,11 +148,7 @@ def sde_step(z_s: np.ndarray, z0_hat: np.ndarray, s: float, t: float, eps: np.nd
     var_s = sched.var_fwd(s)
     if var_s <= 0.0:
         raise ValueError(f"sde_step undefined from s={s}: forward variance is zero")
-    z_s = np.asarray(z_s, dtype=np.float64)
-    z0_hat = np.asarray(z0_hat, dtype=np.float64)
-    eps = np.asarray(eps, dtype=np.float64)
-    _check_same_shape(z_s, z0_hat, "sde_step state/estimate")
-    _check_same_shape(z_s, eps, "sde_step noise")
+    z_s, z0_hat, eps = _same_shape("sde_step", z_s, z0_hat, eps)
     var_t = sched.var_fwd(t)
     r = var_t / var_s
     return r * z_s + (1.0 - r) * z0_hat + np.sqrt(var_t) * np.sqrt(1.0 - r) * eps

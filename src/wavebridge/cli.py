@@ -22,20 +22,18 @@ import time
 
 import numpy as np
 
-from . import __version__, bridge, pipeline
+from . import __version__, pipeline
 from .bandwidth import estimate_f_eff
 from .checkpoint import atomic_write_bytes
 from .codec import fit_latent_scale, train_codec
 from .config import ConfigError, parse_codec_config, parse_policy_file, parse_stage_config
-from .dsp import StftParams, Waveform, stft
-from .metrics import MrStftConfig, lsd, lsd_band, spectral_ssim
+from .dsp import Waveform, stft
+from .metrics import EVAL_STFT, MrStftConfig, lsd, lsd_band, spectral_ssim
 from .pipeline import Stage, load_codec, save_codec, save_predictor, simulate_lr, train_stage, tune_augmentation, upsample
 from .toydata import ToyConfig, make_clip
 from .wavio import WavFormatError, read_wav, write_wav
 
 log = logging.getLogger("wavebridge.cli")
-
-EVAL_STFT = StftParams(fft_size=2048, hop=512)
 
 
 def _rng_for(seed: int, name: str) -> np.random.Generator:
@@ -290,6 +288,9 @@ def cmd_eval(args) -> int:
 def cmd_tune_aug(args) -> int:
     t0 = time.monotonic()
     stage_cfg, _, _, _ = parse_stage_config(args.stage)
+    if not stage_cfg.is_cascade:
+        # a first stage ignores blur and margin: the grid would score sampler noise alone
+        raise ConfigError(f"{args.stage}: tune-aug needs a cascade stage, but section [augmentation] is missing")
     stage = Stage.load(stage_cfg)
     lr_corpus = dict(_load_corpus(args.val_lr))
     hr_corpus = dict(_load_corpus(args.val_hr))

@@ -25,6 +25,8 @@ from .dsp import Spectrogram, StftParams
 
 LSD_FLOOR = 1e-8
 MRSTFT_FLOOR = 1e-7
+# The analysis on which `eval` and the augmentation search score LSD.
+EVAL_STFT = StftParams(fft_size=2048, hop=512)
 
 
 @dataclass

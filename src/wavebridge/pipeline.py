@@ -20,10 +20,9 @@ bit-reproducible regardless of file layout.
 from __future__ import annotations
 
 import logging
-import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -40,7 +39,9 @@ from .dsp import (
     lowpass,
     replace_low_band,
     resample,
+    stft,
 )
+from .metrics import EVAL_STFT, lsd
 from .predictor import Conditioning, Predictor, PredictorConfig
 
 log = logging.getLogger("wavebridge.pipeline")
@@ -292,6 +293,11 @@ def train_stage(
     First stage needs stage_cfg.anytoany and .degradation; cascade stages need
     .augmentation. The codec is frozen: latents are posterior means, no
     gradient flows into it. Returns (predictor, full per-step loss trace).
+
+    Consumes rng in order: the predictor's initial weights; then per step,
+    per item, the clip index, the pair draws (cascade: margin, blur; an
+    unusable first-stage clip draws nothing more) and the crop offset; then
+    per step the (N,) times t and the noise eps for one batched bridge call.
     """
     if not corpus:
         raise ValueError("empty corpus")
@@ -370,12 +376,8 @@ def train_stage(
 
         t = rng.uniform(bridge.T_MIN_TRAIN, 1.0, size=batch_size)
         eps = rng.standard_normal(z0.shape)
-        z_t = np.stack(
-            [bridge.forward_sample(z0[i], zT[i], float(t[i]), eps[i], sched) for i in range(batch_size)]
-        )
-        target = np.stack(
-            [bridge.loss_target(z_t[i], z0[i], float(t[i]), sched) for i in range(batch_size)]
-        )
+        z_t = bridge.forward_sample(z0, zT, t, eps, sched)
+        target = bridge.loss_target(z_t, z0, t, sched)
 
         cond = Conditioning(
             t=t,
@@ -418,14 +420,7 @@ def load_codec(path: str) -> tuple[Codec, float]:
 
 def save_predictor(path: str, predictor: Predictor, sched: bridge.BridgeSchedule) -> None:
     tensors = {name: t.data for name, t in predictor.named_params()}
-    extra = {
-        "schedule": {
-            "g_min_sq": sched.g_min_sq,
-            "g_max_sq": sched.g_max_sq,
-            "profile": sched.profile,
-        }
-    }
-    checkpoint.save_checkpoint(path, "predictor", predictor.cfg.to_dict(), tensors, extra)
+    checkpoint.save_checkpoint(path, "predictor", predictor.cfg.to_dict(), tensors, {"schedule": asdict(sched)})
 
 
 def load_predictor(path: str) -> tuple[Predictor, bridge.BridgeSchedule]:
@@ -449,7 +444,7 @@ def _restore_params(named: list[tuple[str, nn.Tensor]], tensors: dict, path: str
             raise checkpoint.CheckpointError(
                 f"{path}: shape mismatch for {name}: {tensors[name].shape} vs {t.data.shape}"
             )
-        t.data = tensors[name].astype(np.float64)
+        t.data = tensors[name]
 
 
 @dataclass
@@ -689,10 +684,6 @@ def tune_augmentation(
 
 
 def _tune_eval(stage, blur, margin, pairs, n_steps, seed) -> float:
-    from .dsp import StftParams, stft
-    from .metrics import lsd
-
-    params = StftParams(2048, 512)
     scores = []
     for i, (lr_wav, hr_wav) in enumerate(pairs):
         rng = np.random.default_rng([seed, _float_key(blur), _float_key(margin), i])
@@ -700,7 +691,7 @@ def _tune_eval(stage, blur, margin, pairs, n_steps, seed) -> float:
         n = min(len(out), len(hr_wav))
         ref = Waveform(hr_wav.samples[:n], hr_wav.sample_rate)
         est = Waveform(out.samples[:n], out.sample_rate)
-        scores.append(lsd(stft(ref, params), stft(est, params)))
+        scores.append(lsd(stft(ref, EVAL_STFT), stft(est, EVAL_STFT)))
     return float(np.mean(scores))
 
 

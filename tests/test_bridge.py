@@ -125,6 +125,54 @@ def test_forward_sample_shape_checks(rng):
         forward_sample(np.zeros(3), np.zeros(4), 0.5, np.zeros(3), TRI)
     with pytest.raises(ValueError):
         forward_sample(np.zeros(3), np.zeros(3), 0.5, np.zeros(4), TRI)
+    z = np.zeros((3, 4))
+    for t in (np.full(2, 0.5), np.full(4, 0.5), np.full((3, 1), 0.5)):
+        with pytest.raises(ValueError, match="time shape"):
+            forward_sample(z, z, t, z, TRI)
+
+
+# ------------------------------------------------------------- per-item time
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    ts=st.lists(st.floats(min_value=T_MIN_TRAIN, max_value=1.0), min_size=1, max_size=8),
+)
+@settings(max_examples=40, deadline=None)
+def test_per_item_time_equals_per_item_calls(seed, ts):
+    # one call with one time per item must give exactly the per-item scalar calls, stacked
+    rng = np.random.default_rng(seed)
+    t = np.array(ts)
+    n = len(t)
+    z0, zT, eps = (rng.standard_normal((n, 3, 16)) for _ in range(3))
+    for sched in (TRI, CONST):
+        z_t = forward_sample(z0, zT, t, eps, sched)
+        target = loss_target(z_t, z0, t, sched)
+        z0_hat = estimate_z0(z_t, eps, t, sched)
+        for i in range(n):
+            ti = float(t[i])
+            assert np.array_equal(z_t[i], forward_sample(z0[i], zT[i], ti, eps[i], sched))
+            assert np.array_equal(target[i], loss_target(z_t[i], z0[i], ti, sched))
+            assert np.array_equal(z0_hat[i], estimate_z0(z_t[i], eps[i], ti, sched))
+        for name in ("g_sq", "var_fwd", "std_fwd", "std_rev"):
+            f = getattr(sched, name)
+            assert np.array_equal(f(t), [f(float(ti)) for ti in t])
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.25, 1.5])
+def test_per_item_time_rejects_bad_entry(bad):
+    t = np.array([0.2, bad, 0.7])
+    z = np.zeros((3, 4))
+    for sched in (TRI, CONST):
+        with pytest.raises(ValueError, match=f"time {bad} outside"):
+            sched.var_fwd(t)
+        with pytest.raises(ValueError, match=f"time {bad} outside"):
+            forward_sample(z, z, t, z, sched)
+        with pytest.raises(ValueError, match=f"time {bad} outside"):
+            loss_target(z, z, t, sched)
+        with pytest.raises(ValueError, match=f"time {bad} outside"):
+            estimate_z0(z, z, t, sched)
+    with pytest.raises(ValueError, match="t=0.0"):
+        loss_target(z, z, np.array([0.2, 0.0, 0.7]), TRI)
 
 
 # --------------------------------------------------- target/estimate inversion

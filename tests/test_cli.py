@@ -238,3 +238,15 @@ def test_upsample_cli_bit_reproducible(stage_ini, tmp_path):
     assert main(["upsample", in_wav, oc, "--stage", ini, "--steps", "3", "--seed", "10"]) == 0
     assert _read_bytes(oa) == _read_bytes(ob)
     assert _read_bytes(oa) != _read_bytes(oc)
+
+
+def test_tune_aug_rejects_first_stage_config(stage_ini, tmp_path, capsys):
+    # a first stage has no blur or margin to tune: every grid point would differ by sampler noise only
+    ini, in_wav = stage_ini
+    val = os.path.dirname(in_wav)
+    rc = main(["tune-aug", "--stage", ini, "--val-lr", val, "--val-hr", val,
+               "--steps", "2", "--out", str(tmp_path / "tune.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ini in err and "[augmentation]" in err
+    assert not (tmp_path / "tune.csv").exists()
