@@ -1,14 +1,17 @@
 """1-D convolution compute kernels, the training hot path.
 
-numpy only: stride-trick windows plus einsum, and a per-tap scatter for the
-two ops that spread each input sample over several outputs.
+numpy only, one form for every layer shape: the input is unfolded into a
+C-contiguous column array (im2col) and each contraction is a BLAS matmul on
+it; the input gradient and the transposed convolution scatter one matmul per
+tap. np.matmul runs one GEMM per batch item, so an item's output does not
+depend on what else is in the batch.
 
 All kernels are "valid" convolutions on arrays laid out (batch, channels,
 length); padding is the caller's job. Weight layouts follow the usual
 conventions: conv1d (out_ch, in_ch, k), conv_transpose1d (in_ch, out_ch, k).
 A transposed convolution is conv1d's input-gradient map, so its gradients are
 conv1d's forward and weight gradient. Kernels follow numpy's type promotion,
-as einsum does; nn hands them arrays that share one dtype.
+as matmul does; nn hands them arrays that share one dtype.
 """
 
 from __future__ import annotations
@@ -23,12 +26,20 @@ def _c(a):
     return np.ascontiguousarray(a)
 
 
-def conv1d_fwd(x, w, stride=1, dilation=1):
-    x, w = _c(x), _c(w)
-    k = w.shape[2]
+def _im2col(x, k, stride, dilation):
+    """Unfold x (n, c, l) into C-contiguous columns (n, c*k, lo).
+
+    Row c*k + j holds tap j of channel c, matching w.reshape(o, c*k).
+    """
+    n, c, _ = x.shape
     span = (k - 1) * dilation + 1
     win = np.lib.stride_tricks.sliding_window_view(x, span, axis=2)[:, :, ::stride, ::dilation]
-    return np.einsum("nclk,ock->nol", win, w, optimize=True)
+    return _c(win.transpose(0, 1, 3, 2)).reshape(n, c * k, win.shape[2])
+
+
+def conv1d_fwd(x, w, stride=1, dilation=1):
+    o, c, k = w.shape
+    return w.reshape(o, c * k) @ _im2col(x, k, stride, dilation)
 
 
 def _scatter_taps(g, w, stride, dilation, length):
@@ -37,28 +48,29 @@ def _scatter_taps(g, w, stride, dilation, length):
     w is (o, c, k). This is conv1d's input gradient and, with w read as
     (in_ch, out_ch, k), the transposed convolution's forward.
     """
+    g = _c(g)
     n, _, lo = g.shape
     _, c, k = w.shape
+    taps = _c(w.transpose(2, 1, 0))  # (k, c, o): taps[kk] is tap kk's (c, o) mix
     out = np.zeros((n, c, length), dtype=np.result_type(g, w))
     for kk in range(k):
         start = kk * dilation
-        out[:, :, start : start + stride * lo : stride] += np.einsum("nol,oc->ncl", g, w[:, :, kk], optimize=True)
+        out[:, :, start : start + stride * lo : stride] += taps[kk] @ g
     return out
 
 
 def conv1d_grad_x(gy, w, stride, dilation, length):
-    return _scatter_taps(_c(gy), _c(w), stride, dilation, length)
+    return _scatter_taps(gy, w, stride, dilation, length)
 
 
 def conv1d_grad_w(x, gy, stride, dilation, k):
-    x, gy = _c(x), _c(gy)
-    span = (k - 1) * dilation + 1
-    win = np.lib.stride_tricks.sliding_window_view(x, span, axis=2)[:, :, ::stride, ::dilation]
-    return np.einsum("nclk,nol->ock", win, gy, optimize=True)
+    o, c = gy.shape[1], x.shape[1]
+    cols = _im2col(x, k, stride, dilation)
+    return (_c(gy) @ cols.swapaxes(1, 2)).sum(0).reshape(o, c, k)
 
 
 def convt1d_fwd(x, w, stride=1):
-    return _scatter_taps(_c(x), _c(w), stride, 1, (x.shape[2] - 1) * stride + w.shape[2])
+    return _scatter_taps(x, w, stride, 1, (x.shape[2] - 1) * stride + w.shape[2])
 
 
 def convt1d_grad_x(gy, w, stride):

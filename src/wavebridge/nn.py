@@ -335,15 +335,17 @@ def pad_reflect_last(a: Tensor, left: int, right: int) -> Tensor:
     length = a.data.shape[-1]
     if left >= length or right >= length:
         raise ValueError(f"reflect pad ({left},{right}) too large for length {length}")
-    idx = np.concatenate(
-        [np.arange(left, 0, -1), np.arange(length), np.arange(length - 2, length - 2 - right, -1)]
-    )
-    out_data = a.data[..., idx]
+    x = a.data
+    # Three slices and one concatenate give a C-contiguous output, which the
+    # conv kernels unfold without another copy.
+    head, tail = slice(1, left + 1), slice(length - 1 - right, length - 1)
+    out_data = np.concatenate([x[..., head][..., ::-1], x, x[..., tail][..., ::-1]], axis=-1)
 
     def back(g):
         if a.requires_grad:
-            ga = np.zeros_like(a.data)
-            np.add.at(ga, (..., idx), g)
+            ga = g[..., left : left + length].copy()
+            ga[..., head] += g[..., :left][..., ::-1]
+            ga[..., tail] += g[..., left + length :][..., ::-1]
             a.accumulate(ga)
 
     return _node(out_data, (a,), back)
@@ -415,7 +417,8 @@ def stft_mag(x: Tensor, params: StftParams) -> Tensor:
         g_frames = np.fft.irfft(g_spec, n=n_fft, axis=2) * n_fft
         g_frames *= win[None, None, :]
         gx = np.zeros_like(x.data)
-        np.add.at(gx, (np.arange(x.data.shape[0])[:, None, None], idx[None, :, :]), g_frames)
+        for f in range(nframes):  # overlap-add, frames in order
+            gx[:, f * hop : f * hop + n_fft] += g_frames[:, f]
         x.accumulate(gx)
 
     return _node(mag, (x,), back)

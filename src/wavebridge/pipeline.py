@@ -510,8 +510,8 @@ def _sample_stitched(
     windows WINDOW_GROUP at a time, in start order, and adds each group's
     estimates into the coverage sums before the next. The predictor treats
     the windows of a batch independently, so grouping gives the result of
-    one batch of every window, exact up to float32 rounding (bit for bit on
-    numpy's einsum kernels).
+    one batch of every window bit for bit: the conv kernels' matmuls run one
+    GEMM per batch item.
     """
     length = zT.shape[1]
     blur = cond_vals.get("blur_ratio")

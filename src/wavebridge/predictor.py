@@ -10,8 +10,7 @@ projection starts at zero, so an untrained net predicts zero noise.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

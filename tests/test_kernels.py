@@ -14,6 +14,9 @@ CONFIGS = [
     (2, 2, 3, 48, 3, 1, 2),
     (1, 4, 2, 50, 5, 3, 2),
     (3, 1, 5, 21, 1, 1, 1),
+    (2, 1, 4, 34, 4, 2, 1),  # encoder input layer: ci=1, stride 2, k=4
+    (2, 3, 1, 20, 3, 1, 1),  # decoder output layer: co=1, k=3
+    (1, 2, 3, 60, 5, 1, 8),  # predictor dilation 8, k=5
 ]
 
 
@@ -79,3 +82,35 @@ def test_convt1d_adjoint_identities(rng):
         gw = kernels.convt1d_grad_w(x, gy, stride, k)
         assert lhs == pytest.approx(np.sum(x * gx), rel=1e-10)
         assert lhs == pytest.approx(np.sum(w * gw), rel=1e-10)
+
+
+def _loop_reference(x, w, gy, stride, dilation):
+    """conv1d forward, input gradient and weight gradient, one output position and tap at a time, in float64."""
+    x, w, gy = (a.astype(np.float64) for a in (x, w, gy))
+    k, lo = w.shape[2], gy.shape[2]
+    y, gx, gw = np.zeros(gy.shape), np.zeros(x.shape), np.zeros(w.shape)
+    for t in range(lo):
+        for j in range(k):
+            pos = t * stride + j * dilation
+            y[:, :, t] += x[:, :, pos] @ w[:, :, j].T
+            gx[:, :, pos] += gy[:, :, t] @ w[:, :, j]
+            gw[:, :, j] += gy[:, :, t].T @ x[:, :, pos]
+    return y, gx, gw
+
+
+@pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_kernels_match_loop_reference(rng, dtype, rtol):
+    for n, ci, co, length, k, stride, dilation in CONFIGS:
+        x = _rand(rng, n, ci, length).astype(dtype)
+        w = _rand(rng, co, ci, k).astype(dtype)
+        lo = (length - (k - 1) * dilation - 1) // stride + 1
+        gy = _rand(rng, n, co, lo).astype(dtype)
+        got = (
+            kernels.conv1d_fwd(x, w, stride, dilation),
+            kernels.conv1d_grad_x(gy, w, stride, dilation, length),
+            kernels.conv1d_grad_w(x, gy, stride, dilation, k),
+        )
+        for g, want in zip(got, _loop_reference(x, w, gy, stride, dilation)):
+            assert g.dtype == dtype
+            assert g.shape == want.shape
+            np.testing.assert_allclose(g, want, rtol=rtol, atol=rtol * np.max(np.abs(want)))

@@ -7,6 +7,7 @@ import pytest
 
 from wavebridge import kernels, nn
 from wavebridge.dsp import StftParams
+from wavebridge.metrics import MrStftConfig
 
 
 def _param(rng, *shape, lo=None):
@@ -100,10 +101,23 @@ def test_grad_pad_reflect(rng):
 
 
 def test_pad_reflect_matches_numpy(rng):
-    x = rng.standard_normal((1, 2, 9))
-    got = nn.pad_reflect_last(nn.Tensor(x), 3, 4).data
-    want = np.pad(x, ((0, 0), (0, 0), (3, 4)), mode="reflect")
-    assert np.array_equal(got, want)
+    # Every pad numpy's reflect mode allows: C-contiguous output, np.add.at adjoint.
+    for length in range(1, 10):
+        for left in range(length):
+            for right in range(length):
+                x = rng.standard_normal((2, 3, length))
+                a = nn.Tensor(x, requires_grad=True)
+                out = nn.pad_reflect_last(a, left, right)
+                assert np.array_equal(out.data, np.pad(x, ((0, 0), (0, 0), (left, right)), mode="reflect"))
+                assert out.data.flags.c_contiguous
+                g = rng.standard_normal(out.shape)
+                nn.backward(nn.tsum(nn.mul(out, nn.Tensor(g))))
+                idx = np.concatenate(
+                    [np.arange(left, 0, -1), np.arange(length), np.arange(length - 2, length - 2 - right, -1)]
+                )
+                want = np.zeros_like(x)
+                np.add.at(want, (..., idx), g)
+                assert np.array_equal(a.grad, want)
 
 
 def test_grad_conv1d(rng):
@@ -131,6 +145,32 @@ def test_grad_stft_mag(rng):
     params = StftParams(128, 32)
     _check(lambda: nn.tsum(nn.mul(nn.stft_mag(x, params), nn.stft_mag(x, params))),
            [x], rng, n=100, tol=1e-4)
+
+
+def _stft_mag_grad_add_at(x, g, params):
+    """stft_mag's input gradient for output gradient g, overlap-added with np.add.at."""
+    n_fft, hop = params.fft_size, params.hop
+    win = params.window_values()
+    nframes = 1 + (x.shape[-1] - n_fft) // hop
+    idx = np.arange(n_fft)[None, :] + (hop * np.arange(nframes))[:, None]
+    spec = np.fft.rfft(x[:, idx] * win, axis=2)
+    g_spec = g * (spec / np.maximum(np.abs(spec), 1e-300))
+    g_spec[..., 1 : (n_fft // 2)] *= 0.5
+    g_frames = np.fft.irfft(g_spec, n=n_fft, axis=2) * n_fft
+    g_frames *= win
+    gx = np.zeros_like(x)
+    np.add.at(gx, (np.arange(x.shape[0])[:, None, None], idx[None, :, :]), g_frames)
+    return gx
+
+
+def test_stft_mag_backward_equals_add_at_overlap_add(rng):
+    for params in MrStftConfig().resolutions:
+        for length in (2048, 2050, 4096):
+            x = nn.Tensor(rng.standard_normal((2, length)), requires_grad=True)
+            mag = nn.stft_mag(x, params)
+            g = rng.standard_normal(mag.shape)
+            nn.backward(nn.tsum(nn.mul(mag, nn.Tensor(g))))
+            assert np.array_equal(x.grad, _stft_mag_grad_add_at(x.data, g, params))
 
 
 def test_stft_mag_zero_input_backward_is_finite():
