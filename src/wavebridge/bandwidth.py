@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import savgol_filter
 
 from .dsp import Waveform
 
@@ -57,9 +56,21 @@ def magnitude_spectrum(wav: Waveform) -> np.ndarray:
 
 
 def savgol_smooth(x: np.ndarray) -> np.ndarray:
+    """Savitzky-Golay smoothing: each point becomes the least-squares cubic through its window.
+
+    The first and last half-window take their values from the one cubic
+    fitted over the first or last full window.
+    """
+    x = np.asarray(x, dtype=np.float64)
     if len(x) < SAVGOL_WINDOW:
         raise ValueError(f"sequence of {len(x)} shorter than smoothing window {SAVGOL_WINDOW}")
-    return savgol_filter(np.asarray(x, dtype=np.float64), SAVGOL_WINDOW, SAVGOL_POLYORDER)
+    half = SAVGOL_WINDOW // 2
+    v = np.vander(np.arange(-half, half + 1) / half, SAVGOL_POLYORDER + 1)
+    fit = v @ np.linalg.pinv(v)  # window samples -> fitted values at every window position
+    y = np.convolve(x, fit[half, ::-1], mode="same")
+    y[:half] = fit[:half] @ x[:SAVGOL_WINDOW]
+    y[-half:] = fit[half + 1 :] @ x[-SAVGOL_WINDOW:]
+    return y
 
 
 def curvature(logmag: np.ndarray) -> np.ndarray:

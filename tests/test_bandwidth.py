@@ -49,6 +49,18 @@ def test_savgol_reproduces_cubic():
     assert np.max(np.abs(out - x)) < 1e-8 * np.max(np.abs(x))
 
 
+def test_savgol_matches_scipy():
+    # length 101 equals the window: the two edge fits then share one window
+    from scipy.signal import savgol_filter
+
+    rng = np.random.default_rng(5)
+    for n in (101, 102, 4097):
+        x = rng.standard_normal(n) + np.linspace(0.0, 50.0, n) ** 2
+        want = savgol_filter(x, 101, 3)
+        err = np.max(np.abs(savgol_smooth(x) - want)) / np.max(np.abs(want))
+        assert err <= 1e-12, f"n={n}: off by {err:.2e}"
+
+
 def test_savgol_rejects_short_input():
     with pytest.raises(ValueError):
         savgol_smooth(np.zeros(100))  # window is 101

@@ -5,6 +5,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -238,6 +240,23 @@ def test_upsample_cli_bit_reproducible(stage_ini, tmp_path):
     assert main(["upsample", in_wav, oc, "--stage", ini, "--steps", "3", "--seed", "10"]) == 0
     assert _read_bytes(oa) == _read_bytes(ob)
     assert _read_bytes(oa) != _read_bytes(oc)
+
+
+def test_upsample_cli_loads_no_scipy(stage_ini, tmp_path, child_env):
+    # scipy.signal's package import alone costs more than a short upsample call
+    ini, in_wav = stage_ini
+    code = (
+        "import json, sys\n"
+        "from wavebridge import cli\n"
+        "rc = cli.main(['upsample', sys.argv[1], sys.argv[2], '--stage', sys.argv[3], '--steps', '2'])\n"
+        "print(json.dumps([rc, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))]))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code, in_wav, str(tmp_path / "o.wav"), ini],
+                       env=child_env(), capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr
+    rc, loaded = json.loads(r.stdout.strip().splitlines()[-1])
+    assert rc == 0
+    assert loaded == []
 
 
 def test_tune_aug_rejects_first_stage_config(stage_ini, tmp_path, capsys):
