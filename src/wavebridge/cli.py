@@ -232,13 +232,12 @@ def cmd_upsample(args) -> int:
         stages.append(Stage.load(stage_cfg))
     rng = np.random.default_rng(args.seed)
     info: list = []
-    out = upsample(Waveform(samples, sr), stages, n_steps=args.steps, rng=rng,
-                   post_replace=args.post_replace, info=info)
+    out = upsample(Waveform(samples, sr), stages, n_steps=args.steps, rng=rng, info=info)
     write_wav(args.output, out.samples, out.sample_rate, encoding=args.encoding)
     _write_manifest(
         args.output + ".json", "upsample", seed=args.seed, config=";".join(args.stage),
         inputs=[args.input], outputs=[args.output],
-        extra={"steps": args.steps, "post_replace": args.post_replace, "stages": info}, t0=t0,
+        extra={"steps": args.steps, "stages": info}, t0=t0,
     )
     print(f"wrote {args.output} at {out.sample_rate} Hz")
     return 0
@@ -362,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--stage", action="append", required=True, help="stage config (repeatable, in order)")
     sp.add_argument("--steps", type=int, default=pipeline.DEFAULT_N_STEPS)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--post-replace", choices=["config", "none", "final", "all"], default="config")
     sp.add_argument("--encoding", choices=["pcm16", "pcm24", "float32"], default="float32")
     sp.set_defaults(func=cmd_upsample)
 

@@ -26,6 +26,7 @@ one chunk and computes exactly the whole-clip forward.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,6 @@ HALO_FRAMES = 8
 @dataclass
 class CodecConfig:
     sample_rate: int
-    ratio: int = 16
     channels: int = 8
     strides: tuple = (2, 2, 2, 2)
     widths: tuple = (16, 24, 32, 32)
@@ -50,13 +50,13 @@ class CodecConfig:
     def __post_init__(self):
         if len(self.strides) != len(self.widths):
             raise ValueError("strides and widths must pair up")
-        prod = 1
-        for s in self.strides:
-            prod *= s
-        if prod != self.ratio:
-            raise ValueError(f"product of strides {self.strides} is {prod}, not ratio {self.ratio}")
         if self.kl_weight < 0:
             raise ValueError("kl_weight must be >= 0")
+
+    @property
+    def ratio(self) -> int:
+        """Samples per latent frame: the product of the strides."""
+        return math.prod(self.strides)
 
     def to_dict(self) -> dict:
         return {
@@ -73,7 +73,11 @@ class CodecConfig:
         d = dict(d)
         d["strides"] = tuple(d["strides"])
         d["widths"] = tuple(d["widths"])
-        return CodecConfig(**d)
+        stored = d.pop("ratio", None)
+        cfg = CodecConfig(**d)
+        if stored is not None and stored != cfg.ratio:
+            raise ValueError(f"stored ratio {stored} is not the product {cfg.ratio} of strides {cfg.strides}")
+        return cfg
 
 
 class Codec:

@@ -65,13 +65,6 @@ class IniFile:
             return default
         raw = self.cp.get(section, key).strip()
         try:
-            if cast is bool:
-                low = raw.lower()
-                if low in ("1", "true", "yes", "on"):
-                    return True
-                if low in ("0", "false", "no", "off"):
-                    return False
-                raise ValueError(f"not a boolean: {raw!r}")
             return cast(raw)
         except ValueError as e:
             raise ConfigError(f"{self.path}: bad value for '{key}' in [{section}]: {e}") from e
@@ -112,7 +105,7 @@ def _str_tuple(raw: str) -> tuple:
 
 
 # every tuple field of a section read_section builds holds ints
-_CASTS = {"int": int, "float": float, "str": str, "bool": bool, "tuple": _int_tuple}
+_CASTS = {"int": int, "float": float, "str": str, "tuple": _int_tuple}
 
 
 def read_section(ini: IniFile, section: str, cls, **given):
@@ -189,7 +182,6 @@ def parse_stage_config(path: str) -> tuple[StageConfig, TrainParams, BridgeSched
         anytoany=anytoany,
         augmentation=augmentation,
         window_frames=ini.get("stage", "window_frames", int, StageConfig.window_frames),
-        post_replace=ini.get("stage", "post_replace", bool, StageConfig.post_replace),
     )
     sched = read_section(ini, "schedule", BridgeSchedule)
     pred_cfg = None

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 FILTER_FAMILIES = ("butterworth", "cheby1", "bessel", "elliptic")
+# The highest filter order a FilterSpec or a degradation policy accepts.
+MAX_ORDER = 16
 
 # Poles of every designed cascade must sit inside this radius.
 STABILITY_MARGIN = 1e-9
@@ -67,8 +69,8 @@ class FilterSpec:
     def validate(self, sample_rate: int) -> None:
         if self.family not in FILTER_FAMILIES:
             raise ValueError(f"unknown filter family {self.family!r}; expected one of {FILTER_FAMILIES}")
-        if not (1 <= self.order <= 16):
-            raise ValueError(f"filter order {self.order} outside [1, 16]")
+        if not (1 <= self.order <= MAX_ORDER):
+            raise ValueError(f"filter order {self.order} outside [1, {MAX_ORDER}]")
         if not (0.0 < self.cutoff_hz < sample_rate / 2.0):
             raise ValueError(
                 f"cutoff {self.cutoff_hz} Hz must lie strictly inside (0, Nyquist={sample_rate / 2.0})"

@@ -351,40 +351,36 @@ def pad_reflect_last(a: Tensor, left: int, right: int) -> Tensor:
     return _node(out_data, (a,), back)
 
 
-def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1, dilation: int = 1) -> Tensor:
-    """Valid 1-D convolution: x (N,Ci,L), w (Co,Ci,K) -> (N,Co,Lo)."""
+def conv1d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, dilation: int = 1) -> Tensor:
+    """Valid 1-D convolution: x (N,Ci,L), w (Co,Ci,K), bias (Co,) -> (N,Co,Lo)."""
     out_data = kernels.conv1d_fwd(*_operands(x, w), stride, dilation)
-    if bias is not None:
-        out_data += bias.data[None, :, None].astype(out_data.dtype, copy=False)
-    parents = (x, w) if bias is None else (x, w, bias)
+    out_data += bias.data[None, :, None].astype(out_data.dtype, copy=False)
 
     def back(g):
         if x.requires_grad:
             x.accumulate(kernels.conv1d_grad_x(g, w.data, stride, dilation, x.data.shape[2]))
         if w.requires_grad:
             w.accumulate(kernels.conv1d_grad_w(x.data, g, stride, dilation, w.data.shape[2]))
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             bias.accumulate(g.sum(axis=(0, 2)))
 
-    return _node(out_data, parents, back)
+    return _node(out_data, (x, w, bias), back)
 
 
-def conv_transpose1d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1) -> Tensor:
-    """Transposed 1-D convolution: x (N,Ci,L), w (Ci,Co,K) -> (N,Co,(L-1)*stride+K)."""
+def conv_transpose1d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
+    """Transposed 1-D convolution: x (N,Ci,L), w (Ci,Co,K), bias (Co,) -> (N,Co,(L-1)*stride+K)."""
     out_data = kernels.convt1d_fwd(*_operands(x, w), stride)
-    if bias is not None:
-        out_data += bias.data[None, :, None].astype(out_data.dtype, copy=False)
-    parents = (x, w) if bias is None else (x, w, bias)
+    out_data += bias.data[None, :, None].astype(out_data.dtype, copy=False)
 
     def back(g):
         if x.requires_grad:
             x.accumulate(kernels.convt1d_grad_x(g, w.data, stride))
         if w.requires_grad:
             w.accumulate(kernels.convt1d_grad_w(x.data, g, stride, w.data.shape[2]))
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             bias.accumulate(g.sum(axis=(0, 2)))
 
-    return _node(out_data, parents, back)
+    return _node(out_data, (x, w, bias), back)
 
 
 def stft_mag(x: Tensor, params: StftParams) -> Tensor:

@@ -32,12 +32,12 @@ from .bandwidth import estimate_f_eff
 from .codec import Codec, CodecConfig
 from .dsp import (
     FILTER_FAMILIES,
+    MAX_ORDER,
     FilterSpec,
     Waveform,
     apply_filter,
     design_lowpass,
     lowpass,
-    replace_low_band,
     resample,
     stft,
 )
@@ -71,8 +71,10 @@ class DegradationPolicy:
         lo, hi = self.cutoff_range
         if not 0 < lo < hi:
             raise ValueError(f"cutoff_range must satisfy 0 < lo < hi, got {self.cutoff_range}")
-        if self.order_range[0] > self.order_range[1] or self.order_range[0] < 1:
-            raise ValueError(f"bad order_range {self.order_range}")
+        if not 1 <= self.order_range[0] <= self.order_range[1] <= MAX_ORDER:
+            raise ValueError(f"order_range {self.order_range} must satisfy 1 <= lo <= hi <= {MAX_ORDER}")
+        if not self.families:
+            raise ValueError("families must name at least one filter family")
         for fam in self.families:
             if fam not in FILTER_FAMILIES:
                 raise ValueError(f"unknown family {fam!r}")
@@ -130,7 +132,6 @@ class StageConfig:
     anytoany: AnyToAnyConfig | None = None
     augmentation: AugmentConfig | None = None
     window_frames: int = 64
-    post_replace: bool = False
 
     def __post_init__(self):
         if self.target_sr <= 0:
@@ -413,9 +414,10 @@ def load_codec(path: str) -> tuple[Codec, float]:
     kind, cfg_d, tensors, extra = checkpoint.load_checkpoint(path)
     if kind != "codec":
         raise checkpoint.CheckpointError(f"{path}: expected a codec checkpoint, got {kind!r}")
-    codec = Codec(CodecConfig.from_dict(cfg_d), np.random.default_rng(0))
+    cfg, scale = _read_metadata(path, lambda: (CodecConfig.from_dict(cfg_d), float(extra["scale"])))
+    codec = Codec(cfg, np.random.default_rng(0))
     _restore_params(codec.named_params(), tensors, path)
-    return codec, float(extra["scale"])
+    return codec, scale
 
 
 def save_predictor(path: str, predictor: Predictor, sched: bridge.BridgeSchedule) -> None:
@@ -427,10 +429,20 @@ def load_predictor(path: str) -> tuple[Predictor, bridge.BridgeSchedule]:
     kind, cfg_d, tensors, extra = checkpoint.load_checkpoint(path)
     if kind != "predictor":
         raise checkpoint.CheckpointError(f"{path}: expected a predictor checkpoint, got {kind!r}")
-    predictor = Predictor(PredictorConfig.from_dict(cfg_d), np.random.default_rng(0))
+    cfg, sched = _read_metadata(
+        path, lambda: (PredictorConfig.from_dict(cfg_d), bridge.BridgeSchedule(**extra["schedule"]))
+    )
+    predictor = Predictor(cfg, np.random.default_rng(0))
     _restore_params(predictor.named_params(), tensors, path)
-    sched = bridge.BridgeSchedule(**extra["schedule"])
     return predictor, sched
+
+
+def _read_metadata(path: str, build):
+    """build(), with a missing or malformed config or extra entry raised as a CheckpointError naming the file."""
+    try:
+        return build()
+    except (KeyError, TypeError, ValueError) as e:
+        raise checkpoint.CheckpointError(f"{path}: malformed checkpoint metadata ({type(e).__name__}: {e})") from e
 
 
 def _restore_params(named: list[tuple[str, nn.Tensor]], tensors: dict, path: str) -> None:
@@ -551,7 +563,6 @@ def _stage_infer(
     rng: np.random.Generator,
     blur_override: float | None = None,
     margin_override: float | None = None,
-    post_replace: bool | None = None,
     info_out: list | None = None,
 ) -> Waveform:
     """Run one stage: detect, low-pass, resample, encode, sample, decode."""
@@ -581,10 +592,6 @@ def _stage_infer(
         stage.predictor, zT, z_cond, cond_vals, n_steps, rng, stage.sched, cfg.window_frames
     )
     out = stage.codec.decode(z_hat / stage.scale, length=len(x_r))
-
-    do_replace = cfg.post_replace if post_replace is None else post_replace
-    if do_replace:
-        out = replace_low_band(out, x_r, min(token_prior, FULL_BAND_FRAC * out.nyquist))
     if info_out is not None:
         info_out.append(
             {
@@ -593,7 +600,6 @@ def _stage_infer(
                 "f_target": f_target,
                 "margin": margin,
                 "blur": blur if blur is not None else "",
-                "post_replace": bool(do_replace),
             }
         )
     return out
@@ -604,15 +610,14 @@ def upsample(
     stages: list[Stage],
     n_steps: int = DEFAULT_N_STEPS,
     rng: np.random.Generator | None = None,
-    post_replace: str = "config",
     info: list | None = None,
 ) -> Waveform:
     """Cascade the stages over an input waveform.
 
-    post_replace: 'config' honors each stage's flag, 'none'/'final'/'all'
-    override. Silent inputs skip generation (the detector would report
-    full-band and the stage would hallucinate from nothing): they are
-    resampled to the final rate with a warning.
+    Each stage's output is its decoded bridge sample. Silent inputs skip
+    generation (the detector would report full-band and the stage would
+    hallucinate from nothing): they are resampled to the final rate with a
+    warning.
     """
     if not stages:
         raise ValueError("need at least one stage")
@@ -621,8 +626,6 @@ def upsample(
         raise ValueError(f"stage rates must strictly increase, got {rates}")
     if wav_in.sample_rate > rates[-1]:
         raise ValueError(f"input rate {wav_in.sample_rate} above final target {rates[-1]}")
-    if post_replace not in ("config", "none", "final", "all"):
-        raise ValueError(f"bad post_replace {post_replace!r}")
     if rng is None:
         rng = np.random.default_rng()
 
@@ -633,16 +636,8 @@ def upsample(
 
     x = wav_in
     for i, stage in enumerate(stages):
-        if post_replace == "config":
-            flag = None
-        elif post_replace == "all":
-            flag = True
-        elif post_replace == "final":
-            flag = i == len(stages) - 1
-        else:
-            flag = False
         t0 = time.monotonic()
-        x = _stage_infer(stage, x, n_steps, rng, post_replace=flag, info_out=info)
+        x = _stage_infer(stage, x, n_steps, rng, info_out=info)
         log.info("stage %d -> %d Hz in %.2f s", i + 1, stage.cfg.target_sr, time.monotonic() - t0)
     return x
 

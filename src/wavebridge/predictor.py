@@ -3,9 +3,12 @@
 Conditioning values (time, prior bandwidth, target bandwidth, optional blur
 ratio) are sinusoidally embedded, linearly projected, and prepended as extra
 sequence tokens; the prior latent is concatenated channel-wise with the noisy
-state. The trunk is a stack of dilated residual conv blocks sized so the
-receptive field spans the training window plus the tokens. The output
-projection starts at zero, so an untrained net predicts zero noise.
+state. The trunk is a stack of dilated residual conv blocks that reaches
+R = (kernel - 1) / 2 * sum(dilations) frames left (60 by default) and, under
+reflect padding, no token to the right: output frame j sees token p only when
+n_tokens + j - R <= p, so the last 4-7 frames of a 64-frame window never see
+a given token. The output projection starts at zero, so an untrained net
+predicts zero noise.
 """
 
 from __future__ import annotations

@@ -17,41 +17,38 @@ import numpy as np
 
 from .dsp import Waveform
 
+# The corpus recipe. make_clip's output at a given seed is part of the
+# acceptance gate (C07, C08) and of `make-toy`, so these stay fixed.
+NOISE_RMS = 0.15
+TILT_MAX = 0.5
+TONES_MIN, TONES_MAX = 4, 8
+TONE_LO_HZ = 80.0  # lowest tone, and the noise bed's rolloff reference
+TONE_HI_FRAC = 0.45  # highest tone, as a fraction of the sample rate
+TONE_AMP_LO, TONE_AMP_HI = 0.3, 1.0  # tone amplitudes, relative to NOISE_RMS
+PEAK = 0.7
+
 
 @dataclass
 class ToyConfig:
     sample_rate: int = 8000
     duration_s: float = 1.024
-    noise_rms: float = 0.15
-    tilt_max: float = 0.5
-    tones_min: int = 4
-    tones_max: int = 8
-    tone_lo_hz: float = 80.0
-    tone_hi_frac: float = 0.45
-    tone_amp_lo: float = 0.3
-    tone_amp_hi: float = 1.0
-    peak: float = 0.7
 
     def __post_init__(self):
         if self.sample_rate < 8000:
             raise ValueError("sample_rate below 8 kHz")
-        if not 0 < self.tone_hi_frac < 0.5:
-            raise ValueError("tone_hi_frac must sit inside (0, 0.5)")
-        if self.tones_min > self.tones_max or self.tones_min < 0:
-            raise ValueError("bad tone count range")
 
     @property
     def n_samples(self) -> int:
         return int(round(self.duration_s * self.sample_rate))
 
 
-def tilted_noise(n: int, sample_rate: int, tilt: float, rng: np.random.Generator, ref_hz: float = 80.0) -> np.ndarray:
-    """Gaussian noise with magnitude rolloff (f/ref)^-tilt above ref_hz, unit RMS."""
+def tilted_noise(n: int, sample_rate: int, tilt: float, rng: np.random.Generator) -> np.ndarray:
+    """Gaussian noise with magnitude rolloff (f/TONE_LO_HZ)^-tilt above TONE_LO_HZ, unit RMS."""
     white = rng.standard_normal(n)
     if tilt > 0:
         spec = np.fft.rfft(white)
         freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
-        gain = (np.maximum(freqs, ref_hz) / ref_hz) ** (-tilt)
+        gain = (np.maximum(freqs, TONE_LO_HZ) / TONE_LO_HZ) ** (-tilt)
         white = np.fft.irfft(spec * gain, n=n)
     rms = float(np.sqrt(np.mean(white**2)))
     return white / max(rms, 1e-30)
@@ -59,20 +56,20 @@ def tilted_noise(n: int, sample_rate: int, tilt: float, rng: np.random.Generator
 
 def make_clip(cfg: ToyConfig, rng: np.random.Generator) -> Waveform:
     n = cfg.n_samples
-    tilt = float(rng.uniform(0.0, cfg.tilt_max))
-    x = cfg.noise_rms * tilted_noise(n, cfg.sample_rate, tilt, rng, ref_hz=cfg.tone_lo_hz)
+    tilt = float(rng.uniform(0.0, TILT_MAX))
+    x = NOISE_RMS * tilted_noise(n, cfg.sample_rate, tilt, rng)
 
-    k = int(rng.integers(cfg.tones_min, cfg.tones_max + 1))
+    k = int(rng.integers(TONES_MIN, TONES_MAX + 1))
     t = np.arange(n) / cfg.sample_rate
-    hi = cfg.tone_hi_frac * cfg.sample_rate
+    hi = TONE_HI_FRAC * cfg.sample_rate
     for _ in range(k):
-        f = math.exp(rng.uniform(math.log(cfg.tone_lo_hz), math.log(hi)))
-        amp = cfg.noise_rms * rng.uniform(cfg.tone_amp_lo, cfg.tone_amp_hi)
+        f = math.exp(rng.uniform(math.log(TONE_LO_HZ), math.log(hi)))
+        amp = NOISE_RMS * rng.uniform(TONE_AMP_LO, TONE_AMP_HI)
         phase = rng.uniform(0.0, 2.0 * math.pi)
         x = x + amp * np.sin(2.0 * math.pi * f * t + phase)
 
     peak = float(np.max(np.abs(x)))
-    x = x * (cfg.peak / max(peak, 1e-30))
+    x = x * (PEAK / max(peak, 1e-30))
     return Waveform(x, cfg.sample_rate)
 
 

@@ -143,3 +143,46 @@ def test_atomic_write_replaces_existing(tmp_path):
     atomic_write_bytes(path, b"second")
     with open(path, "rb") as f:
         assert f.read() == b"second"
+
+
+# Metadata a loader cannot build from: the file is well formed, its config or
+# extra entry is not, and the error must name the file, not be a bare KeyError.
+MALFORMED = [
+    pytest.param("codec", {}, {"scale": 1.0}, "KeyError: 'strides'", id="codec-no-strides"),
+    pytest.param("codec", {"sample_rate": 8000, "strides": [2, 2], "widths": [8, 8]}, {}, "KeyError: 'scale'",
+                 id="codec-no-scale"),
+    pytest.param("codec", {"sample_rate": 8000, "ratio": 16, "strides": [2, 2], "widths": [8, 8]}, {"scale": 1.0},
+                 "stored ratio 16", id="codec-ratio-off-the-strides"),
+    pytest.param("predictor", {"latent_channels": 8}, {"schedule": {}}, "KeyError: 'dilations'",
+                 id="predictor-no-dilations"),
+    pytest.param("predictor", {"latent_channels": 8, "dilations": [1]}, {"schedule": {"g_max": 1.0}}, "TypeError",
+                 id="predictor-unknown-schedule-key"),
+    pytest.param("predictor", {"latent_channels": 8, "dilations": [1]}, {}, "KeyError: 'schedule'",
+                 id="predictor-no-schedule"),
+]
+
+
+@pytest.mark.parametrize("kind, config, extra, why", MALFORMED)
+def test_malformed_metadata_is_a_checkpoint_error(tmp_path, kind, config, extra, why):
+    from wavebridge.pipeline import load_codec, load_predictor
+
+    path = str(tmp_path / f"{kind}.ckpt")
+    save_checkpoint(path, kind, config, {}, extra)
+    load = load_codec if kind == "codec" else load_predictor
+    with pytest.raises(CheckpointError, match="malformed checkpoint metadata") as err:
+        load(path)
+    assert path in str(err.value) and why in str(err.value)
+
+
+def test_upsample_with_malformed_codec_metadata_exits_one(tmp_path, capsys):
+    from wavebridge.cli import main
+    from wavebridge.wavio import write_wav
+
+    save_checkpoint(str(tmp_path / "codec.ckpt"), "codec", {}, {}, {"scale": 1.0})
+    (tmp_path / "stage.ini").write_text("[stage]\ntarget_sr = 8000\ncodec = codec.ckpt\npredictor = p.ckpt\n")
+    write_wav(str(tmp_path / "in.wav"), np.zeros(8000), 8000, encoding="float32")
+    rc = main(["upsample", str(tmp_path / "in.wav"), str(tmp_path / "o.wav"), "--stage", str(tmp_path / "stage.ini")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "codec.ckpt" in err and "'strides'" in err
+    assert not (tmp_path / "o.wav").exists()

@@ -1,5 +1,6 @@
 """CLI surface, exercised in-process through main()."""
 
+import argparse
 import csv
 import json
 import os
@@ -14,7 +15,7 @@ from scipy import stats
 
 from wavebridge import bridge
 from wavebridge.checkpoint import load_checkpoint, save_checkpoint
-from wavebridge.cli import _rng_for, main
+from wavebridge.cli import _rng_for, build_parser, main
 from wavebridge.codec import Codec, CodecConfig
 from wavebridge.dsp import Waveform, lowpass
 from wavebridge.pipeline import (
@@ -269,3 +270,58 @@ def test_tune_aug_rejects_first_stage_config(stage_ini, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and ini in err and "[augmentation]" in err
     assert not (tmp_path / "tune.csv").exists()
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU gives BLAS one thread either way")
+def test_upsample_bytes_do_not_depend_on_the_blas_thread_default(tmp_path, child_env):
+    # A matmul split over BLAS's default thread pool rounds differently from a
+    # one-thread matmul; `python -m wavebridge` pins one thread unless told.
+    stage1 = os.path.join(os.path.dirname(__file__), os.pardir, "wbbench", "ckpt", "stage1.ini")
+    x = lowpass(Waveform(np.random.default_rng(0).standard_normal(48000) * 0.2, 8000), 2000.0)
+    write_wav(str(tmp_path / "in.wav"), x.samples, 8000, encoding="float32")
+    outputs = []
+    for name, pinned in (("unset", {}), ("one", dict.fromkeys(BLAS_THREAD_VARS, "1"))):
+        env = {k: v for k, v in child_env().items() if k not in BLAS_THREAD_VARS}
+        env.update(pinned)
+        out = str(tmp_path / f"{name}.wav")
+        r = subprocess.run([sys.executable, "-m", "wavebridge", "upsample", str(tmp_path / "in.wav"), out,
+                            "--stage", stage1, "--steps", "5", "--seed", "0"],
+                           env=env, capture_output=True, text=True, timeout=300)
+        assert r.returncode == 0, r.stderr
+        outputs.append(_read_bytes(out))
+    assert outputs[0] == outputs[1]
+
+
+# Every option of every subcommand. An option dropped from or added to this
+# surface changes which command lines run, so it changes here on purpose.
+CLI_SURFACE = {
+    "wavebridge": {"--verbose", "command"},
+    "make-toy": {"out_dir", "--count", "--seed", "--sample-rate", "--duration"},
+    "degrade": {"in_dir", "out_dir", "--policy", "--seed"},
+    "detect-bw": {"files", "--csv"},
+    "train-codec": {"--config", "--corpus", "--out", "--loss-csv", "--seed"},
+    "train-bridge": {"--config", "--corpus", "--out", "--loss-csv", "--seed"},
+    "upsample": {"input", "output", "--stage", "--steps", "--seed", "--encoding"},
+    "eval": {"ref_dir", "est_dir", "--out", "--band-split-hz"},
+    "tune-aug": {"--stage", "--val-lr", "--val-hr", "--blur-grid", "--margin-grid", "--steps", "--seed", "--out"},
+}
+
+
+def _options(parser):
+    """The long option or positional name of every argument but --help."""
+    return {
+        max(a.option_strings, key=len) if a.option_strings else a.dest
+        for a in parser._actions
+        if not isinstance(a, argparse._HelpAction)
+    }
+
+
+def test_cli_surface_is_pinned():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {"wavebridge": _options(parser)}
+    surface.update({name: _options(sp) for name, sp in commands.choices.items()})
+    assert surface == CLI_SURFACE

@@ -29,15 +29,25 @@ def _codec(cfg=SMALL, seed=0):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        CodecConfig(8000, ratio=16, strides=(2, 2, 2))  # strides/widths mismatch
-    with pytest.raises(ValueError):
-        CodecConfig(8000, ratio=8, strides=(2, 2, 2, 2), widths=(8, 8, 8, 8))
+        CodecConfig(8000, strides=(2, 2, 2))  # strides/widths mismatch
     with pytest.raises(ValueError):
         CodecConfig(8000, kl_weight=-1.0)
     with pytest.raises(TypeError):
         CodecConfig()  # the rate has no default
     cfg = CodecConfig(sample_rate=16000)
     assert CodecConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_ratio_is_the_stride_product():
+    cfg = CodecConfig(sample_rate=8000, strides=(3, 2, 4), widths=(8, 12, 16))
+    assert cfg.ratio == 24
+    # checkpoints keep recording the ratio, and one read back must agree
+    d = cfg.to_dict()
+    assert d["ratio"] == 24
+    del d["ratio"]
+    assert CodecConfig.from_dict(d) == cfg
+    with pytest.raises(ValueError, match="stored ratio 16 is not the product 24"):
+        CodecConfig.from_dict(dict(d, ratio=16))
 
 
 # ------------------------------------------------------------- encode/decode
@@ -147,7 +157,7 @@ def test_decode_rejects_a_length_beyond_the_latent():
 CHUNK_CONFIGS = [
     SMALL,
     CodecConfig(sample_rate=8000, channels=4, strides=(4, 4), widths=(8, 16)),
-    CodecConfig(sample_rate=8000, ratio=24, channels=4, strides=(3, 2, 4), widths=(8, 12, 16)),
+    CodecConfig(sample_rate=8000, channels=4, strides=(3, 2, 4), widths=(8, 12, 16)),
 ]
 
 

@@ -127,7 +127,7 @@ def test_stage_config_first_stage(tmp_path):
 def test_stage_config_cascade(tmp_path):
     path = _write(
         tmp_path, "s.ini",
-        "[stage]\ntarget_sr = 16000\npost_replace = yes\n"
+        "[stage]\ntarget_sr = 16000\n"
         "[augmentation]\nblur_star = 0.2\nblur_max = 0.8\n"
         "[schedule]\ng_min_sq = 0.002\ng_max_sq = 0.5\nprofile = constant\n"
         "[predictor]\n",
@@ -135,7 +135,6 @@ def test_stage_config_cascade(tmp_path):
     stage, _, sched, pcfg = parse_stage_config(path)
     assert stage.is_cascade is True
     assert stage.augmentation.blur_star == 0.2
-    assert stage.post_replace is True
     assert (sched.g_min_sq, sched.g_max_sq, sched.profile) == (0.002, 0.5, "constant")
     assert pcfg.use_blur_token is True
 
@@ -162,13 +161,16 @@ def test_stage_config_absolute_path_kept(tmp_path):
     assert pcfg is None
 
 
-def test_bool_parsing_rejects_garbage(tmp_path):
-    path = _write(
-        tmp_path, "s.ini",
-        "[stage]\ntarget_sr = 8000\npost_replace = maybe\n",
-    )
-    with pytest.raises(ConfigError, match="not a boolean"):
-        parse_stage_config(path)
+@pytest.mark.parametrize("parse, text, section, key", [
+    # a stage's output is its decoded bridge sample
+    (parse_stage_config, "[stage]\ntarget_sr = 8000\npost_replace = no\n", "stage", "post_replace"),
+    # the ratio is the product of the strides
+    (parse_codec_config, "[codec]\nsample_rate = 8000\nratio = 16\n", "codec", "ratio"),
+])
+def test_deleted_keys_fail_by_name(tmp_path, parse, text, section, key):
+    path = _write(tmp_path, "old.ini", text)
+    with pytest.raises(ConfigError, match=rf"unknown key '{key}' in section \[{section}\]"):
+        parse(path)
 
 
 def test_inline_comments_stripped(tmp_path):
@@ -180,9 +182,9 @@ def test_inline_comments_stripped(tmp_path):
 # Every key each section accepts. A key dropped from or added to this surface
 # changes which files parse, so it changes here on purpose or not at all.
 INI_SURFACE = {
-    "codec": {"sample_rate", "ratio", "channels", "strides", "widths", "kl_weight"},
+    "codec": {"sample_rate", "channels", "strides", "widths", "kl_weight"},
     "training": {"steps", "batch_size", "crop_frames", "lr", "log_every"},
-    "stage": {"target_sr", "codec", "predictor", "window_frames", "post_replace"},
+    "stage": {"target_sr", "codec", "predictor", "window_frames"},
     "degradation": {"cutoff_lo", "cutoff_hi", "families", "orders"},
     "anytoany": {"f_target_lo", "f_target_hi"},
     "augmentation": {"lpf_margin_hz", "train_margin_max_hz", "blur_max", "blur_star"},

@@ -403,12 +403,13 @@ def test_no_grad_convs_cast_float64_weights_to_float32(rng):
     x32 = rng.standard_normal((2, 3, 33)).astype(np.float32)
     w = nn.Tensor(rng.standard_normal((4, 3, 5)), requires_grad=True)
     wt = nn.Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
+    b = nn.Tensor(np.zeros(4), requires_grad=True)  # a fresh layer's bias
     with nn.no_grad():
-        y = nn.conv1d(nn.Tensor(x32), w, stride=2)
-        yt = nn.conv_transpose1d(nn.Tensor(x32), wt, stride=2)
+        y = nn.conv1d(nn.Tensor(x32), w, b, stride=2)
+        yt = nn.conv_transpose1d(nn.Tensor(x32), wt, b, stride=2)
     assert y.data.dtype == np.float32 and yt.data.dtype == np.float32
     assert np.array_equal(y.data, kernels.conv1d_fwd(x32, w.data.astype(np.float32), 2))
     assert np.array_equal(yt.data, kernels.convt1d_fwd(x32, wt.data.astype(np.float32), 2))
     for x in (nn.Tensor(x32.astype(np.float64)), nn.Tensor(x32)):
-        assert nn.conv1d(x, w, stride=2).data.dtype == np.float64
-        assert nn.conv_transpose1d(x, wt, stride=2).data.dtype == np.float64
+        assert nn.conv1d(x, w, b, stride=2).data.dtype == np.float64
+        assert nn.conv_transpose1d(x, wt, b, stride=2).data.dtype == np.float64

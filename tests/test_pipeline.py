@@ -6,7 +6,8 @@ import pytest
 from wavebridge import bridge, nn, pipeline, toydata
 from wavebridge.checkpoint import CheckpointError
 from wavebridge.codec import Codec, CodecConfig, train_codec
-from wavebridge.dsp import Waveform, lowpass
+from wavebridge.config import parse_policy_file
+from wavebridge.dsp import MAX_ORDER, FilterSpec, Waveform, design_lowpass, lowpass
 from wavebridge.pipeline import (
     AnyToAnyConfig,
     AugmentConfig,
@@ -97,6 +98,23 @@ def test_policy_validation():
     pol = DegradationPolicy(cutoff_range=(1000.0, 3000.0))
     with pytest.raises(ValueError):
         pol.validate_rate(6000)  # hi reaches Nyquist
+    # a policy it cannot draw from is refused here, not at a draw mid-training or mid-degrade
+    with pytest.raises(ValueError, match=rf"hi <= {MAX_ORDER}"):
+        DegradationPolicy(cutoff_range=(1000.0, 2000.0), order_range=(2, MAX_ORDER + 1))
+    with pytest.raises(ValueError, match="at least one filter family"):
+        DegradationPolicy(cutoff_range=(1000.0, 2000.0), families=())
+    # the policy's ceiling is the designer's: the top order draws and designs
+    pol = DegradationPolicy(cutoff_range=(1000.0, 2000.0), families=("butterworth",), order_range=(MAX_ORDER, MAX_ORDER))
+    assert design_lowpass(pol.draw(np.random.default_rng(0)), 8000).shape == (MAX_ORDER // 2, 6)
+    with pytest.raises(ValueError, match=rf"outside \[1, {MAX_ORDER}\]"):
+        FilterSpec("butterworth", MAX_ORDER + 1, 1000.0).validate(8000)
+
+
+def test_policy_file_rejects_empty_families(tmp_path):
+    path = tmp_path / "p.ini"
+    path.write_text("[degradation]\ncutoff_lo = 1000\ncutoff_hi = 3000\nfamilies =\n")
+    with pytest.raises(ValueError, match="at least one filter family"):
+        parse_policy_file(str(path))
 
 
 def test_policy_draw_ranges():
@@ -472,8 +490,6 @@ def test_upsample_validation(rng):
         upsample(Waveform(rng.standard_normal(4096), 16000), [stage], n_steps=2)
     with pytest.raises(ValueError):
         upsample(wav, [stage, stage], n_steps=2)  # rates do not increase
-    with pytest.raises(ValueError):
-        upsample(wav, [stage], n_steps=2, post_replace="sometimes")
 
 
 def test_upsample_silence_passthrough():
@@ -538,7 +554,7 @@ def test_upsample_info_records_stage(rng):
     assert len(info) == 1
     assert info[0]["target_sr"] == 8000
     assert info[0]["f_target"] == 4000.0
-    assert info[0]["post_replace"] is False
+    assert set(info[0]) == {"target_sr", "f_prior", "f_target", "margin", "blur"}
 
 
 def test_stage_infer_lowpasses_at_the_clamped_prior_band(monkeypatch):
