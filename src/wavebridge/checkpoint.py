@@ -72,23 +72,49 @@ def load_checkpoint(path: str) -> tuple[str, dict, dict, dict]:
         raise CheckpointError(f"{path}: truncated header length")
     head_len = int(np.frombuffer(raw, dtype=np.uint64, count=1, offset=ofs)[0])
     ofs += 8
+    if len(raw) < ofs + head_len:
+        raise CheckpointError(f"{path}: truncated header")
     try:
         meta = json.loads(raw[ofs : ofs + head_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: corrupt header ({e})") from e
     ofs += head_len
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
     if meta.get("format") != "wavebridge-checkpoint":
         raise CheckpointError(f"{path}: unknown format {meta.get('format')!r}")
+    kind, config, extra = meta.get("kind"), meta.get("config"), meta.get("extra", {})
+    if not (isinstance(kind, str) and isinstance(config, dict) and isinstance(extra, dict)):
+        raise CheckpointError(f"{path}: header lacks a string kind or a config or extra object")
     tensors = {}
-    for row in meta["tensors"]:
-        shape = tuple(row["shape"])
+    for name, shape in _tensor_table(path, meta):
         count = int(np.prod(shape)) if shape else 1
         try:
             arr = np.frombuffer(raw, dtype=np.float32, count=count, offset=ofs)
         except ValueError as e:
-            raise CheckpointError(f"{path}: truncated payload for tensor {row['name']!r}") from e
+            raise CheckpointError(f"{path}: truncated payload for tensor {name!r}") from e
         if not np.all(np.isfinite(arr)):
-            raise CheckpointError(f"{path}: tensor {row['name']!r} holds NaN or inf")
-        tensors[row["name"]] = arr.reshape(shape).astype(np.float64)
+            raise CheckpointError(f"{path}: tensor {name!r} holds NaN or inf")
+        tensors[name] = arr.reshape(shape).astype(np.float64)
         ofs += count * 4
-    return meta["kind"], meta["config"], tensors, meta.get("extra", {})
+    if ofs != len(raw):
+        raise CheckpointError(f"{path}: {len(raw) - ofs} bytes follow the last tensor")
+    return kind, config, tensors, extra
+
+
+def _tensor_table(path: str, meta: dict) -> list[tuple[str, tuple]]:
+    """The header's tensor rows as (name, shape), or a CheckpointError naming the file."""
+    rows = meta.get("tensors")
+    if not isinstance(rows, list):
+        raise CheckpointError(f"{path}: header has no tensors list")
+    table = []
+    for i, row in enumerate(rows):
+        row = row if isinstance(row, dict) else {}
+        name, shape = row.get("name"), row.get("shape")
+        if not isinstance(name, str):
+            raise CheckpointError(f"{path}: tensor row {i} has no string name")
+        # bool is an int subclass, so JSON true/false would pass an isinstance check
+        if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
+            raise CheckpointError(f"{path}: tensor {name!r} has no shape of non-negative ints")
+        table.append((name, tuple(shape)))
+    return table

@@ -29,12 +29,19 @@ def _c(a):
 def _im2col(x, k, stride, dilation):
     """Unfold x (n, c, l) into C-contiguous columns (n, c*k, lo).
 
-    Row c*k + j holds tap j of channel c, matching w.reshape(o, c*k).
+    Row c*k + j holds tap j of channel c, matching w.reshape(o, c*k). One
+    read-only strided view (n, c, k, lo) is copied once.
     """
-    n, c, _ = x.shape
+    n, c, length = x.shape
     span = (k - 1) * dilation + 1
-    win = np.lib.stride_tricks.sliding_window_view(x, span, axis=2)[:, :, ::stride, ::dilation]
-    return _c(win.transpose(0, 1, 3, 2)).reshape(n, c * k, win.shape[2])
+    if length < span:
+        raise ValueError(f"input length {length} < kernel span {span}")
+    lo = (length - span) // stride + 1
+    sn, sc, sl = x.strides
+    win = np.lib.stride_tricks.as_strided(
+        x, (n, c, k, lo), (sn, sc, sl * dilation, sl * stride), writeable=False
+    )
+    return _c(win).reshape(n, c * k, lo)
 
 
 def conv1d_fwd(x, w, stride=1, dilation=1):

@@ -512,11 +512,12 @@ def _sample_stitched(
 ) -> np.ndarray:
     """bridge.run_sampler with windowed predictions averaged into one z0 estimate.
 
-    Early steps use half-window hops (heavy overlap), late steps full-window
-    hops with a rotating offset, so seams never pin to one position. Each step
-    averages the per-window denoised estimates with coverage weights; the
-    loop then applies one global transition with a single noise draw, so a
-    signal no longer than the window reproduces bridge.sample() bit for bit.
+    Every step tiles the latent with full-window hops on a grid whose offset
+    rotates by a quarter window per step, plus windows forced at both ends,
+    so seams never pin to one position. Each step averages the per-window
+    denoised estimates with coverage weights; the loop then applies one
+    global transition with a single noise draw, so a signal no longer than
+    the window reproduces bridge.sample() bit for bit.
 
     Memory stays bounded in clip length: a step builds and predicts its
     windows WINDOW_GROUP at a time, in start order, and adds each group's
@@ -529,9 +530,8 @@ def _sample_stitched(
     blur = cond_vals.get("blur_ratio")
 
     def estimate(z, s, i):
-        hop = max(1, window // 2) if i < n_steps // 2 else window
         offset = (i * max(1, window // 4)) % window
-        starts = window_starts(length, window, hop, offset)
+        starts = window_starts(length, window, window, offset)
         w_eff = min(window, length)
         acc = np.zeros_like(z)
         cnt = np.zeros(length)

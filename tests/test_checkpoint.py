@@ -186,3 +186,80 @@ def test_upsample_with_malformed_codec_metadata_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "codec.ckpt" in err and "'strides'" in err
     assert not (tmp_path / "o.wav").exists()
+
+
+
+def _write_raw(path, head, payload=b""):
+    """A file with good magic and the given JSON header, bypassing save_checkpoint's checks."""
+    blob = json.dumps(head).encode()
+    with open(path, "wb") as f:
+        f.write(MAGIC + np.uint64(len(blob)).tobytes() + blob + payload)
+
+
+def _head(tensors):
+    return {"format": "wavebridge-checkpoint", "version": 1, "kind": "codec", "config": {}, "extra": {},
+            "tensors": tensors}
+
+
+# Headers a loader cannot read a tensor table from; each must be a CheckpointError naming the file.
+MALFORMED_HEADERS = [
+    pytest.param([1, 2], b"", "not a JSON object", id="list-header"),
+    pytest.param({k: v for k, v in _head([]).items() if k != "tensors"}, b"", "no tensors list", id="no-tensors"),
+    pytest.param(_head({"w": [1]}), b"", "no tensors list", id="tensors-not-a-list"),
+    pytest.param(_head(["w"]), b"", "row 0 has no string name", id="row-not-an-object"),
+    pytest.param(_head([{"shape": [1]}]), b"\0" * 4, "row 0 has no string name", id="row-without-name"),
+    pytest.param(_head([{"name": 3, "shape": [1]}]), b"\0" * 4, "row 0 has no string name", id="name-not-a-string"),
+    pytest.param(_head([{"name": "w"}]), b"\0" * 4, "'w' has no shape", id="row-without-shape"),
+    pytest.param(_head([{"name": "w", "shape": 1}]), b"\0" * 4, "'w' has no shape", id="shape-not-a-list"),
+    pytest.param(_head([{"name": "w", "shape": [-1]}]), b"", "'w' has no shape", id="negative-dim"),
+    pytest.param(_head([{"name": "w", "shape": [1.5]}]), b"\0" * 4, "'w' has no shape", id="float-dim"),
+    pytest.param(_head([{"name": "w", "shape": [True]}]), b"\0" * 4, "'w' has no shape", id="bool-dim"),
+    pytest.param(_head([{"name": "w", "shape": [1]}]), b"\0" * 8, "4 bytes follow the last tensor",
+                 id="trailing-bytes"),
+    pytest.param({k: v for k, v in _head([]).items() if k != "kind"}, b"", "string kind", id="no-kind"),
+]
+
+
+@pytest.mark.parametrize("head, payload, why", MALFORMED_HEADERS)
+def test_malformed_header_is_a_checkpoint_error(tmp_path, head, payload, why):
+    from wavebridge.pipeline import load_codec
+
+    path = str(tmp_path / "codec.ckpt")
+    _write_raw(path, head, payload)
+    for load in (load_checkpoint, load_codec):
+        with pytest.raises(CheckpointError, match=why) as err:
+            load(path)
+        assert str(err.value).startswith(path)
+
+
+def test_header_length_past_the_file_end_rejected(tmp_path):
+    path = str(tmp_path / "long.ckpt")
+    blob = json.dumps(_head([])).encode()
+    with open(path, "wb") as f:
+        f.write(MAGIC + np.uint64(len(blob) + 5).tobytes() + blob)
+    with pytest.raises(CheckpointError, match="truncated header"):
+        load_checkpoint(path)
+
+
+def test_trailing_bytes_after_a_saved_checkpoint_rejected(tmp_path, rng):
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(path, "codec", {}, _sample_tensors(rng))
+    with open(path, "ab") as f:
+        f.write(b"\0")
+    with pytest.raises(CheckpointError, match="1 bytes follow the last tensor"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("head, payload, why", MALFORMED_HEADERS[:3])
+def test_upsample_with_malformed_header_exits_one(tmp_path, capsys, head, payload, why):
+    from wavebridge.cli import main
+    from wavebridge.wavio import write_wav
+
+    _write_raw(str(tmp_path / "codec.ckpt"), head, payload)
+    (tmp_path / "stage.ini").write_text("[stage]\ntarget_sr = 8000\ncodec = codec.ckpt\npredictor = p.ckpt\n")
+    write_wav(str(tmp_path / "in.wav"), np.zeros(8000), 8000, encoding="float32")
+    rc = main(["upsample", str(tmp_path / "in.wav"), str(tmp_path / "o.wav"), "--stage", str(tmp_path / "stage.ini")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "codec.ckpt" in err and why in err
+    assert not (tmp_path / "o.wav").exists()

@@ -1,6 +1,7 @@
 """CLI surface, exercised in-process through main()."""
 
 import argparse
+import ast
 import csv
 import json
 import os
@@ -8,11 +9,13 @@ import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import wavebridge
 from wavebridge import bridge
 from wavebridge.checkpoint import load_checkpoint, save_checkpoint
 from wavebridge.cli import _rng_for, build_parser, main
@@ -325,3 +328,30 @@ def test_cli_surface_is_pinned():
     surface = {"wavebridge": _options(parser)}
     surface.update({name: _options(sp) for name, sp in commands.choices.items()})
     assert surface == CLI_SURFACE
+
+
+def _stdout_writes(tree):
+    """Line numbers of print calls and sys.stdout uses in a module's AST."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
+            yield node.lineno
+        elif isinstance(node, ast.Attribute) and node.attr in ("stdout", "__stdout__"):
+            if isinstance(node.value, ast.Name) and node.value.id == "sys":
+                yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+            if any(a.name in ("stdout", "__stdout__") for a in node.names):
+                yield node.lineno
+
+
+def test_only_the_cli_writes_to_stdout():
+    # library modules log to stderr; a caller that reads stdout (a benchmark's
+    # last-line result, a pipe) sees only what the command itself prints
+    pkg = Path(wavebridge.__file__).parent
+    found = []
+    for path in sorted(pkg.glob("*.py")):
+        if path.name in ("cli.py", "__main__.py"):
+            continue
+        found += [f"{path.name}:{line}" for line in _stdout_writes(ast.parse(path.read_text()))]
+    assert found == []
+    bad = ast.parse("import sys\nprint(1)\nsys.stdout.write('x')\nfrom sys import stdout\n")
+    assert sorted(_stdout_writes(bad)) == [2, 3, 4]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavebridge import kernels
 
@@ -114,3 +116,20 @@ def test_kernels_match_loop_reference(rng, dtype, rtol):
             assert g.dtype == dtype
             assert g.shape == want.shape
             np.testing.assert_allclose(g, want, rtol=rtol, atol=rtol * np.max(np.abs(want)))
+
+
+@given(
+    n=st.integers(1, 3), c=st.integers(1, 4), k=st.integers(1, 6), stride=st.integers(1, 4),
+    dilation=st.integers(1, 8), extra=st.integers(0, 20), float32=st.booleans(), strided=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_im2col_matches_sliding_window_form(n, c, k, stride, dilation, extra, float32, strided):
+    span = (k - 1) * dilation + 1
+    x = np.random.default_rng(span + extra).standard_normal((n, c, 2 * (span + extra)))
+    x = x.astype(np.float32) if float32 else x
+    x = x[:, :, ::2] if strided else np.ascontiguousarray(x[:, :, : span + extra])
+    win = np.lib.stride_tricks.sliding_window_view(x, span, axis=2)[..., ::stride, ::dilation]
+    want = np.ascontiguousarray(win.transpose(0, 1, 3, 2)).reshape(n, c * k, win.shape[2])
+    got = kernels._im2col(x, k, stride, dilation)
+    assert got.flags.c_contiguous and got.dtype == x.dtype
+    assert np.array_equal(got, want)

@@ -322,11 +322,40 @@ def test_stitched_predicts_windows_in_bounded_groups():
     assert max(k for k, _ in stub.calls) == pipeline.WINDOW_GROUP
     grid = bridge.time_grid(n_steps)
     for i in range(n_steps):
-        hop = window // 2 if i < n_steps // 2 else window
+        hop = window
         want = len(window_starts(length, window, hop, (i * (window // 4)) % window))
         assert want > pipeline.WINDOW_GROUP  # every step takes several groups
         assert sum(k for k, t in stub.calls if t == grid[i]) == want, f"step {i}"
 
+
+
+def test_stitched_steps_cover_every_frame_with_moving_seams(monkeypatch):
+    # every step tiles the latent with full-window hops; the grid seams move each step
+    layouts = []
+
+    def recording_starts(length, window, hop, offset):
+        starts = window_starts(length, window, hop, offset)
+        layouts.append((hop, starts))
+        return starts
+
+    monkeypatch.setattr(pipeline, "window_starts", recording_starts)
+    sched = bridge.BridgeSchedule()
+    length, window, n_steps = 1000, 64, 10
+    zT = np.random.default_rng(0).standard_normal((3, length))
+    cond_vals = {"f_prior": 2000.0, "f_target": 4000.0}
+    _sample_stitched(_ConstFieldStub(0.75, sched), zT, np.zeros((3, length)), cond_vals, n_steps,
+                     np.random.default_rng(5), sched, window)
+    assert len(layouts) == n_steps
+    seams = []
+    for hop, starts in layouts:
+        assert hop == window
+        covered = np.zeros(length, dtype=bool)
+        for st in starts:
+            covered[st : st + window] = True
+        assert covered.all()
+        seams.append({st for st in starts if 0 < st < length - window})
+    for a, b in zip(seams, seams[1:]):
+        assert a and b and not a & b
 
 # ------------------------------------------------------------ stage training
 
