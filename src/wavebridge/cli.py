@@ -65,6 +65,19 @@ def _write_csv(path: str, header: list[str], rows: list) -> None:
     atomic_write_bytes(path, buf.getvalue().encode())
 
 
+class _StepRate:
+    """Steps per second between calls: the first call counts from construction."""
+
+    def __init__(self):
+        self.step, self.t = -1, time.monotonic()
+
+    def __call__(self, step: int) -> float:
+        now = time.monotonic()
+        rate = (step - self.step) / max(now - self.t, 1e-9)
+        self.step, self.t = step, now
+        return rate
+
+
 def _wav_names(d: str) -> list[str]:
     if not os.path.isdir(d):
         raise FileNotFoundError(f"not a directory: {d}")
@@ -170,9 +183,10 @@ def cmd_train_codec(args) -> int:
     corpus = _load_corpus(args.corpus, expect_sr=cfg.sample_rate)
     clips = [w for _, w in corpus]
     rng = np.random.default_rng(args.seed)
+    rate = _StepRate()
 
     def progress(step, total, recon, kl):
-        log.info("codec step %d: loss=%.6f recon=%.6f kl=%.3f", step, total, recon, kl)
+        log.info("codec step %d: loss=%.6f recon=%.6f kl=%.3f, %.2f steps/s", step, total, recon, kl, rate(step))
 
     codec, trace = train_codec(
         clips, cfg, tp.steps, rng,
@@ -202,9 +216,10 @@ def cmd_train_bridge(args) -> int:
     corpus = _load_corpus(args.corpus, expect_sr=codec.cfg.sample_rate)
     clips = [w for _, w in corpus]
     rng = np.random.default_rng(args.seed)
+    rate = _StepRate()
 
     def progress(step, loss):
-        log.info("bridge step %d: loss=%.6f", step, loss)
+        log.info("bridge step %d: loss=%.6f, %.2f steps/s", step, loss, rate(step))
 
     predictor, trace = train_stage(
         clips, codec, scale, stage_cfg, tp.steps, rng,

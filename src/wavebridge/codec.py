@@ -188,18 +188,16 @@ def vae_loss(codec: Codec, batch: np.ndarray, rng: np.random.Generator, mr_cfg: 
     n, length = batch.shape
     x = nn.Tensor(batch[:, None, :])
     mu, logvar = codec.encode_dist(x)
-    noise = rng.standard_normal(mu.shape)
-    z = mu + nn.exp(nn.Tensor(0.5) * logvar) * nn.Tensor(noise)
+    noise = rng.standard_normal(mu.shape).astype(mu.data.dtype, copy=False)
+    z = mu + nn.exp(0.5 * logvar) * nn.Tensor(noise)
     recon = codec.decode_graph(z)
     recon = nn.reshape(nn.narrow(recon, -1, 0, length), (n, length))
     total = mrstft(recon, batch, mr_cfg)
 
     # KL(q || N(0,1)) summed over latent entries, mean over the batch
-    kl_each = nn.Tensor(-0.5) * nn.tsum(
-        nn.Tensor(1.0) + logvar - mu * mu - nn.exp(logvar), axis=(1, 2)
-    )
+    kl_each = -0.5 * nn.tsum(1.0 + logvar - mu * mu - nn.exp(logvar), axis=(1, 2))
     kl = nn.tmean(kl_each)
-    loss = total + nn.Tensor(codec.cfg.kl_weight) * kl
+    loss = total + codec.cfg.kl_weight * kl
     return loss, float(total.data), float(kl.data)
 
 
@@ -216,6 +214,7 @@ def train_codec(
 ) -> tuple[Codec, list[tuple[int, float, float, float]]]:
     """Train a fresh codec on random crops. Returns (codec, loss trace).
 
+    The codec's parameters, batches and graphs are float32 (see nn).
     Trace rows: (step, total, recon, kl). Aborts on non-finite loss.
     """
     if not clips:
@@ -229,10 +228,11 @@ def train_codec(
         if len(wav) < crop_len:
             raise ValueError(f"clip of {len(wav)} samples shorter than crop {crop_len}")
     codec = Codec(cfg, rng)
+    nn.to_float32(codec.params())
     opt = nn.Adam(codec.params(), lr=lr)
     trace = []
     for step in range(steps):
-        batch = np.stack([_random_crop(clips, crop_len, rng) for _ in range(batch_size)])
+        batch = np.stack([_random_crop(clips, crop_len, rng) for _ in range(batch_size)]).astype(np.float32)
         opt.zero_grad()
         loss, recon, kl = vae_loss(codec, batch, rng, mr_cfg)
         if not np.isfinite(loss.data):

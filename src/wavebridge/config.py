@@ -182,6 +182,7 @@ def parse_stage_config(path: str) -> tuple[StageConfig, TrainParams, BridgeSched
         anytoany=anytoany,
         augmentation=augmentation,
         window_frames=ini.get("stage", "window_frames", int, StageConfig.window_frames),
+        source_sr=ini.get("stage", "source_sr", int, StageConfig.source_sr),
     )
     sched = read_section(ini, "schedule", BridgeSchedule)
     pred_cfg = None

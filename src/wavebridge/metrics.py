@@ -137,7 +137,7 @@ def mrstft(est: nn.Tensor, ref: np.ndarray, cfg: MrStftConfig) -> nn.Tensor:
         sc = nn.tmean(sc_num * nn.Tensor(sc_den))
         log_diff = nn.absolute(nn.log(est_t) - nn.log(ref_t))
         frames = est_t.shape[1]
-        log_term = nn.tmean(nn.tsum(log_diff, axis=(1, 2)) * nn.Tensor(1.0 / frames))
+        log_term = nn.tmean(nn.tsum(log_diff, axis=(1, 2)) * (1.0 / frames))
         term = sc + log_term
         total = term if total is None else total + term
     return total

@@ -6,9 +6,9 @@ predictor need (elementwise arithmetic, tanh/exp/log/abs/sqrt, axis
 reductions, matmul, 1-D convolutions via the kernels module, reflect padding,
 one slice op `narrow` and one concat op `concat` on any axis, and a
 differentiable magnitude STFT whose backward pass is the rfft adjoint).
-Graphs run in float64 so central finite differences agree with analytic
-gradients to ~1e-6, which the grad_check utility (and an acceptance gate)
-enforces.
+Graphs built from float64 data run in float64, so central finite differences
+agree with analytic gradients to ~1e-6, which the grad_check utility (and an
+acceptance gate) enforces.
 
 Inside `with no_grad():` operations record no graph: outputs carry
 requires_grad False and hold no parents or backward closure, so a forward
@@ -17,12 +17,14 @@ a graph built on one thread is unaffected by another thread's block.
 
 Dtype rule, which lives here alone (the kernels only follow numpy's type
 promotion): the Tensor constructor keeps a float32 array as float32 and
-stores anything else as float64. With grad on, every op output is float64
-as its inputs are. Under no_grad every op output is stored as float32, so a
-graph-free forward computes in float32 after its first op: `_operands` casts
-a float64 operand down when the other is float32, for the binary ops and for
-the conv ops' input and weight alike, and the conv ops add their bias
-without promoting.
+stores anything else as float64. An op whose inputs mix float32 and float64
+(a binary op, a conv op's input and weight, a concat) casts the float64 ones
+down and differentiates with the cast data, and an operator's non-Tensor
+operand takes the dtype of the tensor it meets. So float32 parameters and
+data (the training functions cast theirs) give a float32 graph, float64 ones
+a float64 graph. Under no_grad every op output is also stored as float32,
+so a graph-free forward computes in float32 after its first op. The conv
+ops add their bias without promoting.
 
 No broadcasting surprises: binary ops follow numpy broadcasting and gradients
 are summed back over broadcast axes.
@@ -63,29 +65,30 @@ class Tensor:
 
     # Convenience operators (all defer to module functions below).
     def __add__(self, other):
-        return add(self, _as_tensor(other))
+        return add(self, _as_tensor(other, self))
 
     def __radd__(self, other):
-        return add(_as_tensor(other), self)
+        return add(_as_tensor(other, self), self)
 
     def __sub__(self, other):
-        return add(self, neg(_as_tensor(other)))
+        return add(self, neg(_as_tensor(other, self)))
 
     def __rsub__(self, other):
-        return add(_as_tensor(other), neg(self))
+        return add(_as_tensor(other, self), neg(self))
 
     def __mul__(self, other):
-        return mul(self, _as_tensor(other))
+        return mul(self, _as_tensor(other, self))
 
     def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
+        return mul(_as_tensor(other, self), self)
 
     def __neg__(self):
         return neg(self)
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def _as_tensor(x, like: Tensor) -> Tensor:
+    """x as an operand of `like`: a constant takes like's dtype."""
+    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
 class _GradMode(threading.local):
@@ -120,13 +123,13 @@ def _node(data, parents, backward_fn) -> Tensor:
     return out
 
 
-def _operands(a: Tensor, b: Tensor) -> tuple[np.ndarray, np.ndarray]:
-    """The data of a binary op's inputs. Under no_grad a float32 activation
-    meeting a float64 parameter or constant is not promoted: both go float32."""
-    x, y = a.data, b.data
-    if not _GRAD_MODE.enabled and x.dtype != y.dtype:
-        return x.astype(np.float32, copy=False), y.astype(np.float32, copy=False)
-    return x, y
+def _operands(*ts: Tensor) -> list[np.ndarray]:
+    """The data of an op's inputs, all float32 when their dtypes differ: a
+    float32 activation meeting a float64 parameter or constant is not promoted."""
+    data = [t.data for t in ts]
+    if any(d.dtype != data[0].dtype for d in data):
+        return [d.astype(np.float32, copy=False) for d in data]
+    return data
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -186,9 +189,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def back(g):
         if a.requires_grad:
-            a.accumulate(_unbroadcast(g * b.data, a.data.shape))
+            a.accumulate(_unbroadcast(g * y, a.data.shape))
         if b.requires_grad:
-            b.accumulate(_unbroadcast(g * a.data, b.data.shape))
+            b.accumulate(_unbroadcast(g * x, b.data.shape))
 
     return _node(out_data, (a, b), back)
 
@@ -278,7 +281,7 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     else:
         axes = axis if isinstance(axis, tuple) else (axis,)
         count = int(np.prod([a.data.shape[i] for i in axes]))
-    return mul(tsum(a, axis=axis, keepdims=keepdims), Tensor(1.0 / count))
+    return tsum(a, axis=axis, keepdims=keepdims) * (1.0 / count)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -287,9 +290,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def back(g):
         if a.requires_grad:
-            a.accumulate(g @ b.data.T)
+            a.accumulate(g @ y.T)
         if b.requires_grad:
-            b.accumulate(a.data.T @ g)
+            b.accumulate(x.T @ g)
 
     return _node(out_data, (a, b), back)
 
@@ -319,7 +322,7 @@ def narrow(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
 
 def concat(parts: list[Tensor], axis: int) -> Tensor:
     """Concatenate tensors along `axis`."""
-    out_data = np.concatenate([p.data for p in parts], axis=axis)
+    out_data = np.concatenate(_operands(*parts), axis=axis)
     ends = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
 
     def back(g):
@@ -353,14 +356,15 @@ def pad_reflect_last(a: Tensor, left: int, right: int) -> Tensor:
 
 def conv1d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, dilation: int = 1) -> Tensor:
     """Valid 1-D convolution: x (N,Ci,L), w (Co,Ci,K), bias (Co,) -> (N,Co,Lo)."""
-    out_data = kernels.conv1d_fwd(*_operands(x, w), stride, dilation)
+    xd, wd = _operands(x, w)
+    out_data = kernels.conv1d_fwd(xd, wd, stride, dilation)
     out_data += bias.data[None, :, None].astype(out_data.dtype, copy=False)
 
     def back(g):
         if x.requires_grad:
-            x.accumulate(kernels.conv1d_grad_x(g, w.data, stride, dilation, x.data.shape[2]))
+            x.accumulate(kernels.conv1d_grad_x(g, wd, stride, dilation, xd.shape[2]))
         if w.requires_grad:
-            w.accumulate(kernels.conv1d_grad_w(x.data, g, stride, dilation, w.data.shape[2]))
+            w.accumulate(kernels.conv1d_grad_w(xd, g, stride, dilation, wd.shape[2]))
         if bias.requires_grad:
             bias.accumulate(g.sum(axis=(0, 2)))
 
@@ -369,14 +373,15 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, dilation: int = 
 
 def conv_transpose1d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     """Transposed 1-D convolution: x (N,Ci,L), w (Ci,Co,K), bias (Co,) -> (N,Co,(L-1)*stride+K)."""
-    out_data = kernels.convt1d_fwd(*_operands(x, w), stride)
+    xd, wd = _operands(x, w)
+    out_data = kernels.convt1d_fwd(xd, wd, stride)
     out_data += bias.data[None, :, None].astype(out_data.dtype, copy=False)
 
     def back(g):
         if x.requires_grad:
-            x.accumulate(kernels.convt1d_grad_x(g, w.data, stride))
+            x.accumulate(kernels.convt1d_grad_x(g, wd, stride))
         if w.requires_grad:
-            w.accumulate(kernels.convt1d_grad_w(x.data, g, stride, w.data.shape[2]))
+            w.accumulate(kernels.convt1d_grad_w(xd, g, stride, wd.shape[2]))
         if bias.requires_grad:
             bias.accumulate(g.sum(axis=(0, 2)))
 
@@ -388,11 +393,12 @@ def stft_mag(x: Tensor, params: StftParams) -> Tensor:
 
     Frame k holds samples [k * hop, k * hop + fft_size), no padding; this is
     the package's one unpadded framing (dsp.stft pads). Backward is the
-    analytic rfft adjoint; near-zero bins use a tiny magnitude floor in the
-    phase factor only.
+    analytic rfft adjoint; zero bins use the dtype's smallest normal magnitude
+    as a floor in the phase factor only. The window takes x's dtype, so a
+    float32 signal is framed and transformed in float32.
     """
     n_fft, hop = params.fft_size, params.hop
-    win = params.window_values()
+    win = params.window_values().astype(x.data.dtype, copy=False)
     length = x.data.shape[-1]
     if length < n_fft:
         raise ValueError(f"signal length {length} < fft_size {n_fft}")
@@ -405,7 +411,7 @@ def stft_mag(x: Tensor, params: StftParams) -> Tensor:
     def back(g):
         if not x.requires_grad:
             return
-        phase = spec / np.maximum(mag, 1e-300)
+        phase = spec / np.maximum(mag, np.finfo(mag.dtype).tiny)
         g_spec = g * phase  # dL/dRe + i dL/dIm, bin by bin
         # Adjoint of rfft on real input: halve interior bins, irfft, scale by N.
         g_spec = g_spec.copy()
@@ -487,6 +493,12 @@ class Linear:
 
     def named_params(self, prefix):
         return [(f"{prefix}.w", self.w), (f"{prefix}.b", self.b)]
+
+
+def to_float32(params: list[Tensor]) -> None:
+    """Cast parameters to float32 in place, so the graphs they enter run in float32."""
+    for p in params:
+        p.data = p.data.astype(np.float32)
 
 
 # ---------------------------------------------------------------- optimizer

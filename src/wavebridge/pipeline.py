@@ -7,8 +7,9 @@ Stage kinds
 A first stage trains any-to-any: each step draws a target band and a prior
 cutoff, filters the clip twice on the same buffer, and bridges from the
 narrow-band latent to the wide-band one. Cascade stages (index >= 2) train as
-fixed upsamplers whose prior is the previous stage's band; the prior is
-degraded on purpose (waveform low-pass a margin below the prior Nyquist, then
+fixed upsamplers whose prior is the band of the rate they receive (half of
+`source_sr`, which defaults to half the stage rate); the prior is degraded
+on purpose (waveform low-pass a margin below the prior Nyquist, then
 a Gaussian blur on the latent) so inference-time codec artifacts stay in
 distribution.
 
@@ -132,12 +133,17 @@ class StageConfig:
     anytoany: AnyToAnyConfig | None = None
     augmentation: AugmentConfig | None = None
     window_frames: int = 64
+    source_sr: int = 0  # a cascade stage's input rate; 0 means target_sr / 2
 
     def __post_init__(self):
         if self.target_sr <= 0:
             raise ValueError("target_sr must be positive")
         if self.window_frames < 4:
             raise ValueError("window_frames too small")
+        if self.source_sr and not 0 < self.source_sr < self.target_sr:
+            raise ValueError(f"source_sr must lie in (0, {self.target_sr}), got {self.source_sr}")
+        if self.source_sr and self.augmentation is None:
+            raise ValueError("source_sr sets a cascade stage's prior band; a first stage trains any-to-any")
 
     @property
     def is_cascade(self) -> bool:
@@ -293,7 +299,9 @@ def train_stage(
 
     First stage needs stage_cfg.anytoany and .degradation; cascade stages need
     .augmentation. The codec is frozen: latents are posterior means, no
-    gradient flows into it. Returns (predictor, full per-step loss trace).
+    gradient flows into it. The bridge algebra runs in float64; the
+    predictor's parameters, inputs and graph are float32 (see nn). Returns
+    (predictor, full per-step loss trace).
 
     Consumes rng in order: the predictor's initial weights; then per step,
     per item, the clip index, the pair draws (cascade: margin, blur; an
@@ -325,6 +333,7 @@ def train_stage(
             raise ValueError(f"clip of {len(wav)} samples shorter than crop {crop_len}")
 
     predictor = Predictor(predictor_cfg, rng)
+    nn.to_float32(predictor.params())
     opt = nn.Adam(predictor.params(), lr=lr)
     trace: list[tuple[int, float]] = []
 
@@ -332,7 +341,7 @@ def train_stage(
     # clip and filter full clips before cropping. The cascade prior band is
     # fixed, so each clip is low-passed to it once.
     if cascade:
-        prior_band = codec.cfg.sample_rate / 4.0
+        prior_band = (stage_cfg.source_sr or codec.cfg.sample_rate / 2.0) / 2.0
         prior_cache = [lowpass(w, prior_band) for w in corpus]
     else:
         f_eff_cache = [estimate_f_eff(w).f_eff for w in corpus]
@@ -387,8 +396,8 @@ def train_stage(
             blur_ratio=np.array(blurs) if cascade else None,
         )
         opt.zero_grad()
-        pred = predictor.forward(nn.Tensor(z_t), cond, nn.Tensor(z_cond))
-        loss = nn.mse(pred, nn.Tensor(target))
+        pred = predictor.forward(nn.Tensor(z_t.astype(np.float32)), cond, nn.Tensor(z_cond.astype(np.float32)))
+        loss = nn.mse(pred, nn.Tensor(target.astype(np.float32)))
         if not np.isfinite(loss.data):
             raise FloatingPointError(
                 f"bridge training diverged at step {step}: loss={float(loss.data)}, "

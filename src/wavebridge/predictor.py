@@ -140,16 +140,20 @@ class Predictor:
         return sum(t.data.size for t in self.params())
 
     def _tokens(self, cond: Conditioning) -> list[nn.Tensor]:
-        e = self.cfg.embed_dim
+        e, dtype = self.cfg.embed_dim, self.tok_t.w.data.dtype
+
+        def embed(values):  # in the parameters' dtype, so float32 training stays float32
+            return nn.Tensor(sinusoidal_embed(values, e).astype(dtype, copy=False))
+
         toks = [
-            self.tok_t(nn.Tensor(sinusoidal_embed(cond.t * TIME_EMBED_SCALE, e))),
-            self.tok_fp(nn.Tensor(sinusoidal_embed(cond.f_prior, e))),
-            self.tok_ft(nn.Tensor(sinusoidal_embed(cond.f_target, e))),
+            self.tok_t(embed(cond.t * TIME_EMBED_SCALE)),
+            self.tok_fp(embed(cond.f_prior)),
+            self.tok_ft(embed(cond.f_target)),
         ]
         if self.cfg.use_blur_token:
             if cond.blur_ratio is None:
                 raise ValueError("this predictor expects a blur_ratio in its conditioning")
-            toks.append(self.tok_blur(nn.Tensor(sinusoidal_embed(cond.blur_ratio * BLUR_EMBED_SCALE, e))))
+            toks.append(self.tok_blur(embed(cond.blur_ratio * BLUR_EMBED_SCALE)))
         elif cond.blur_ratio is not None:
             raise ValueError("blur_ratio given but this predictor has no blur token")
         return [nn.reshape(tk, (tk.shape[0], tk.shape[1], 1)) for tk in toks]

@@ -4,6 +4,7 @@ import argparse
 import ast
 import csv
 import json
+import logging
 import os
 import re
 import shutil
@@ -163,6 +164,32 @@ def test_train_codec_short_crop_names_the_key(toy_dir, tmp_path, capsys):
     assert "[training] crop_frames = 64" in err
     assert "1024" in err and "2048" in err
     assert not (tmp_path / "c.ckpt").exists()
+
+
+def test_training_logs_report_steps_per_second(toy_dir, tmp_path, capsys, caplog):
+    # the rate goes through logging (stderr), never to stdout
+    codec_ini = tmp_path / "codec.ini"
+    codec_ini.write_text(
+        "[codec]\nsample_rate = 8000\nchannels = 4\nwidths = 8 12 16 16\n"
+        "[training]\nsteps = 3\nbatch_size = 2\ncrop_frames = 128\nlog_every = 1\n"
+    )
+    stage_ini = tmp_path / "stage.ini"
+    stage_ini.write_text(
+        "[stage]\ntarget_sr = 8000\ncodec = c.ckpt\n"
+        "[degradation]\ncutoff_lo = 1000\ncutoff_hi = 3000\n"
+        "[anytoany]\nf_target_lo = 4000\nf_target_hi = 4000\n"
+        "[predictor]\nlatent_channels = 4\nwidth = 8\nkernel = 3\ndilations = 1 2\nembed_dim = 16\n"
+        "[training]\nsteps = 3\nbatch_size = 2\ncrop_frames = 16\nlog_every = 1\n"
+    )
+    caplog.set_level(logging.INFO, logger="wavebridge.cli")
+    assert main(["train-codec", "--config", str(codec_ini), "--corpus", toy_dir, "--out", str(tmp_path / "c.ckpt")]) == 0
+    assert main(["train-bridge", "--config", str(stage_ini), "--corpus", toy_dir, "--out", str(tmp_path / "p.ckpt")]) == 0
+    for kind in ("codec", "bridge"):
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith(f"{kind} step")]
+        assert len(lines) == 3
+        rates = [float(re.search(r", ([0-9.]+) steps/s$", line).group(1)) for line in lines]
+        assert all(np.isfinite(r) and r > 0 for r in rates)
+    assert "steps/s" not in capsys.readouterr().out
 
 
 def test_upsample_missing_stage_config_exits_one(toy_dir, tmp_path, capsys):

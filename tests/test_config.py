@@ -184,7 +184,7 @@ def test_inline_comments_stripped(tmp_path):
 INI_SURFACE = {
     "codec": {"sample_rate", "channels", "strides", "widths", "kl_weight"},
     "training": {"steps", "batch_size", "crop_frames", "lr", "log_every"},
-    "stage": {"target_sr", "codec", "predictor", "window_frames"},
+    "stage": {"target_sr", "codec", "predictor", "window_frames", "source_sr"},
     "degradation": {"cutoff_lo", "cutoff_hi", "families", "orders"},
     "anytoany": {"f_target_lo", "f_target_hi"},
     "augmentation": {"lpf_margin_hz", "train_margin_max_hz", "blur_max", "blur_star"},

@@ -118,6 +118,19 @@ def test_kernels_match_loop_reference(rng, dtype, rtol):
             np.testing.assert_allclose(g, want, rtol=rtol, atol=rtol * np.max(np.abs(want)))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_one_channel_scatter_gives_the_per_tap_matmul_bytes(rng, dtype):
+    # with one output channel the input gradient multiplies where a matmul would sum one term
+    for n, ci, co, length, k, stride, dilation in [(2, 3, 1, 20, 3, 1, 1), (4, 16, 1, 2050, 3, 1, 1), (1, 1, 1, 16, 3, 1, 1)]:
+        w = _rand(rng, co, ci, k).astype(dtype)
+        lo = (length - (k - 1) * dilation - 1) // stride + 1
+        gy = _rand(rng, n, co, lo).astype(dtype)
+        want = np.zeros((n, ci, length), dtype)
+        for j in range(k):
+            want[:, :, j * dilation : j * dilation + stride * lo : stride] += w[:, :, j].T @ gy
+        assert np.array_equal(kernels.conv1d_grad_x(gy, w, stride, dilation, length), want)
+
+
 @given(
     n=st.integers(1, 3), c=st.integers(1, 4), k=st.integers(1, 6), stride=st.integers(1, 4),
     dilation=st.integers(1, 8), extra=st.integers(0, 20), float32=st.booleans(), strided=st.booleans(),

@@ -393,8 +393,14 @@ def test_no_grad_binary_ops_do_not_promote_float32(rng):
     assert np.array_equal(added, a + b.astype(np.float32))
     assert np.array_equal(product, a * b.astype(np.float32))
     assert not np.array_equal(added, (a + b).astype(np.float32))
-    # with grad on, mixed operands follow numpy promotion as before
-    assert nn.add(nn.Tensor(a), nn.Tensor(b)).data.dtype == np.float64
+    # with grad on the same rule holds, and the backward pass reads the cast operands
+    ta, tb = nn.Tensor(a, requires_grad=True), nn.Tensor(b, requires_grad=True)
+    out = nn.mul(ta, tb)
+    assert np.array_equal(out.data, product)
+    nn.backward(nn.tsum(out))
+    assert ta.grad.dtype == np.float32 and np.array_equal(ta.grad, b.astype(np.float32))
+    assert tb.grad.dtype == np.float64 and np.array_equal(tb.grad, a.astype(np.float64))
+    assert nn.add(nn.Tensor(b), nn.Tensor(b)).data.dtype == np.float64
 
 
 def test_no_grad_convs_cast_float64_weights_to_float32(rng):
@@ -410,6 +416,9 @@ def test_no_grad_convs_cast_float64_weights_to_float32(rng):
     assert y.data.dtype == np.float32 and yt.data.dtype == np.float32
     assert np.array_equal(y.data, kernels.conv1d_fwd(x32, w.data.astype(np.float32), 2))
     assert np.array_equal(yt.data, kernels.convt1d_fwd(x32, wt.data.astype(np.float32), 2))
-    for x in (nn.Tensor(x32.astype(np.float64)), nn.Tensor(x32)):
-        assert nn.conv1d(x, w, b, stride=2).data.dtype == np.float64
-        assert nn.conv_transpose1d(x, wt, b, stride=2).data.dtype == np.float64
+    # with grad on a float32 input casts the weights down alike; a float64 one keeps float64
+    assert np.array_equal(nn.conv1d(nn.Tensor(x32), w, b, stride=2).data, y.data)
+    assert np.array_equal(nn.conv_transpose1d(nn.Tensor(x32), wt, b, stride=2).data, yt.data)
+    x64 = nn.Tensor(x32.astype(np.float64))
+    assert nn.conv1d(x64, w, b, stride=2).data.dtype == np.float64
+    assert nn.conv_transpose1d(x64, wt, b, stride=2).data.dtype == np.float64

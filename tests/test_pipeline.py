@@ -575,6 +575,62 @@ def test_library_writes_nothing_to_stdout(capfd):
     assert capfd.readouterr().out == ""
 
 
+def test_cascade_stage_trains_on_the_band_of_its_source_rate(monkeypatch):
+    # An 8 -> 24 kHz cascade stage: the prior band is 4 kHz, half its 8 kHz
+    # source rate, where half the stage's own Nyquist would give 6 kHz.
+    cutoffs, augmented, tokens = [], [], []
+    real_lowpass, real_augment, real_forward = pipeline.lowpass, pipeline.augment_prior, Predictor.forward
+
+    def spy_lowpass(wav, cutoff_hz, *args, **kwargs):
+        cutoffs.append(cutoff_hz)
+        return real_lowpass(wav, cutoff_hz, *args, **kwargs)
+
+    def spy_augment(wav, prior_band_hz, margin_hz):
+        augmented.append((prior_band_hz, margin_hz))
+        return real_augment(wav, prior_band_hz, margin_hz)
+
+    def spy_forward(self, z_t, cond, z_cond):
+        tokens.append(cond.f_prior.copy())
+        return real_forward(self, z_t, cond, z_cond)
+
+    monkeypatch.setattr(pipeline, "lowpass", spy_lowpass)
+    monkeypatch.setattr(pipeline, "augment_prior", spy_augment)
+    monkeypatch.setattr(Predictor, "forward", spy_forward)
+    corpus = toydata.make_corpus(2, toydata.ToyConfig(sample_rate=24000, duration_s=0.25), np.random.default_rng(3))
+    codec = Codec(CodecConfig(sample_rate=24000, channels=4, widths=(8, 12, 16, 16)), np.random.default_rng(4))
+    cfg = StageConfig(target_sr=24000, augmentation=AugmentConfig(), source_sr=8000)
+    pcfg = PredictorConfig(**{**SMALL_PRED.to_dict(), "use_blur_token": True})
+    pred, _ = train_stage(corpus, codec, 1.0, cfg, steps=2, rng=np.random.default_rng(5),
+                          predictor_cfg=pcfg, batch_size=2, crop_latent_frames=16)
+    assert cutoffs[: len(corpus)] == [4000.0] * len(corpus)  # the per-clip prior cache
+    assert len(augmented) == 4 and all(band == 4000.0 for band, _ in augmented)
+    margins = np.array([m for _, m in augmented])
+    assert np.all((margins >= 0.0) & (margins < AugmentConfig().train_margin_max_hz))
+    assert np.array_equal(np.concatenate(tokens), 4000.0 - margins)
+
+    # inference on an 8 kHz input reads the band the stage trained on
+    info = []
+    clip8 = toydata.make_clip(toydata.ToyConfig(sample_rate=8000, duration_s=0.5), np.random.default_rng(6))
+    out = upsample(clip8, [Stage(cfg, codec, pred, bridge.BridgeSchedule(), 1.0)], n_steps=1,
+                   rng=np.random.default_rng(7), info=info)
+    assert out.sample_rate == 24000
+    assert abs(info[0]["f_prior"] - 4000.0) < 200.0
+
+
+def test_stage_config_checks_source_sr():
+    StageConfig(target_sr=24000, augmentation=AugmentConfig(), source_sr=8000)
+    with pytest.raises(ValueError, match="source_sr"):
+        StageConfig(target_sr=24000, augmentation=AugmentConfig(), source_sr=24000)
+    with pytest.raises(ValueError, match="source_sr"):
+        StageConfig(target_sr=24000, augmentation=AugmentConfig(), source_sr=-8000)
+    with pytest.raises(ValueError, match="first stage"):
+        StageConfig(
+            target_sr=8000, source_sr=4000,
+            degradation=DegradationPolicy(cutoff_range=(1000.0, 3000.0)),
+            anytoany=AnyToAnyConfig(f_target_range=(4000.0, 4000.0)),
+        )
+
+
 def test_upsample_info_records_stage(rng):
     stage = _tiny_stage()
     wav = Waveform(lowpass(Waveform(rng.standard_normal(4096), 4000), 1500.0).samples, 4000)
