@@ -6,7 +6,7 @@ Library layout:
     bandwidth   effective-bandwidth estimation from the magnitude spectrum
     metrics     LSD, band-limited LSD, spectral SSIM, multi-resolution STFT loss
     kernels     conv1d compute kernels (numpy)
-    nn          minimal autodiff (float64 graphs, float32 no_grad), layers, Adam
+    nn          minimal autodiff (models compute in their parameters' dtype), layers, Adam
     codec       convolutional waveform VAE (encode/decode/train/scale fitting)
     bridge      bridge noise schedule, forward marginal, loss target, sampler
     predictor   conditioned noise-prediction network

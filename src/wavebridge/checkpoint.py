@@ -26,7 +26,10 @@ class CheckpointError(ValueError):
 
 def atomic_write_bytes(path: str, payload: bytes) -> None:
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".ckpt-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".wavebridge-tmp-")
+    except OSError as e:  # name the destination, not the temp file
+        raise type(e)(e.errno, e.strerror, path) from e
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(payload)
@@ -62,7 +65,7 @@ def save_checkpoint(path: str, kind: str, config: dict, tensors: dict, extra: di
 
 
 def load_checkpoint(path: str) -> tuple[str, dict, dict, dict]:
-    """Read back (kind, config, tensors {name: float64 array}, extra)."""
+    """Read back (kind, config, tensors {name: writable float32 array as stored}, extra)."""
     with open(path, "rb") as f:
         raw = f.read()
     if not raw.startswith(MAGIC):
@@ -95,7 +98,7 @@ def load_checkpoint(path: str) -> tuple[str, dict, dict, dict]:
             raise CheckpointError(f"{path}: truncated payload for tensor {name!r}") from e
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(f"{path}: tensor {name!r} holds NaN or inf")
-        tensors[name] = arr.reshape(shape).astype(np.float64)
+        tensors[name] = arr.reshape(shape).copy()
         ofs += count * 4
     if ofs != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - ofs} bytes follow the last tensor")

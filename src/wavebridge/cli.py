@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__, pipeline
 from .bandwidth import estimate_f_eff
+from .bridge import BridgeSchedule
 from .checkpoint import atomic_write_bytes
 from .codec import fit_latent_scale, train_codec
 from .config import ConfigError, parse_codec_config, parse_policy_file, parse_stage_config
@@ -76,6 +77,14 @@ class _StepRate:
         rate = (step - self.step) / max(now - self.t, 1e-9)
         self.step, self.t = step, now
         return rate
+
+
+def _check_out_dirs(args) -> None:
+    """Fail before any work when an output file's directory is missing ("" writes nothing)."""
+    for path in filter(None, (getattr(args, k, "") for k in ("output", "out", "csv", "loss_csv"))):
+        d = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(d):
+            raise FileNotFoundError(f"cannot write {path}: directory {d} does not exist")
 
 
 def _wav_names(d: str) -> list[str]:
@@ -209,7 +218,7 @@ def cmd_train_codec(args) -> int:
 
 def cmd_train_bridge(args) -> int:
     t0 = time.monotonic()
-    stage_cfg, tp, sched, pred_cfg = parse_stage_config(args.config)
+    stage_cfg, tp, pred_cfg = parse_stage_config(args.config)
     if not stage_cfg.codec_path:
         raise ConfigError(f"{args.config}: missing key 'codec' in section [stage]")
     codec, scale = load_codec(stage_cfg.codec_path)
@@ -223,10 +232,10 @@ def cmd_train_bridge(args) -> int:
 
     predictor, trace = train_stage(
         clips, codec, scale, stage_cfg, tp.steps, rng,
-        predictor_cfg=pred_cfg, sched=sched, batch_size=tp.batch_size,
+        predictor_cfg=pred_cfg, batch_size=tp.batch_size,
         crop_latent_frames=tp.crop_frames, lr=tp.lr, log_every=tp.log_every, log_cb=progress,
     )
-    save_predictor(args.out, predictor, sched)
+    save_predictor(args.out, predictor, BridgeSchedule())
     if args.loss_csv:
         _write_csv(args.loss_csv, ["step", "loss"], [(s, f"{l:.8f}") for s, l in trace])
     _write_manifest(
@@ -243,7 +252,7 @@ def cmd_upsample(args) -> int:
     samples, sr = read_wav(args.input)
     stages = []
     for cfg_path in args.stage:
-        stage_cfg, _, _, _ = parse_stage_config(cfg_path)
+        stage_cfg, _, _ = parse_stage_config(cfg_path)
         stages.append(Stage.load(stage_cfg))
     rng = np.random.default_rng(args.seed)
     info: list = []
@@ -278,13 +287,18 @@ def cmd_eval(args) -> int:
         n = min(len(ref_s), len(est_s))
         ref = stft(Waveform(ref_s[:n], ref_sr), EVAL_STFT)
         est = stft(Waveform(est_s[:n], est_sr), EVAL_STFT)
+        try:
+            ssim = spectral_ssim(ref, est)
+        except ValueError as e:  # too short for one SSIM block
+            log.warning("%s: %d samples: %s; skipping", name, n, e)
+            return None
         split = args.band_split_hz if args.band_split_hz else ref_sr / 4.0
         return (
             name,
             lsd(ref, est),
             lsd_band(ref, est, 0.0, split),
             lsd_band(ref, est, split, ref_sr / 2.0),
-            spectral_ssim(ref, est),
+            ssim,
         )
 
     rows = [r for r in map(one, matched) if r is not None]
@@ -301,7 +315,7 @@ def cmd_eval(args) -> int:
 
 def cmd_tune_aug(args) -> int:
     t0 = time.monotonic()
-    stage_cfg, _, _, _ = parse_stage_config(args.stage)
+    stage_cfg, _, _ = parse_stage_config(args.stage)
     if not stage_cfg.is_cascade:
         # a first stage ignores blur and margin: the grid would score sampler noise alone
         raise ConfigError(f"{args.stage}: tune-aug needs a cascade stage, but section [augmentation] is missing")
@@ -407,6 +421,7 @@ def main(argv=None) -> int:
         stream=sys.stderr,
     )
     try:
+        _check_out_dirs(args)
         return args.func(args)
     except (ConfigError, WavFormatError, ValueError, FileNotFoundError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -9,8 +9,9 @@ latents have unit spread before they feed the bridge.
 Latents are plain (channels, frames) arrays. Lengths: encode handles any
 input of at least `ratio` samples and yields ceil(L / ratio) frames of the
 posterior mean; decode emits frames * ratio samples and trims back to a known
-original length. encode and decode run graph-free, so in float32 (see nn);
-both hand back float64 arrays.
+original length. encode and decode build no graph and compute in the
+parameters' dtype (see nn): float32 for a trained or loaded codec. Both hand
+back float64 arrays.
 
 encode and decode hold memory bounded in clip length: they run in chunks of
 CHUNK_FRAMES latent frames, each read with HALO_FRAMES frames of real
@@ -27,7 +28,7 @@ one chunk and computes exactly the whole-clip forward.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -59,14 +60,7 @@ class CodecConfig:
         return math.prod(self.strides)
 
     def to_dict(self) -> dict:
-        return {
-            "ratio": self.ratio,
-            "channels": self.channels,
-            "strides": list(self.strides),
-            "widths": list(self.widths),
-            "kl_weight": self.kl_weight,
-            "sample_rate": self.sample_rate,
-        }
+        return {**asdict(self), "ratio": self.ratio}
 
     @staticmethod
     def from_dict(d: dict) -> "CodecConfig":
@@ -147,8 +141,7 @@ class Codec:
         z = np.empty((self.cfg.channels, frames))
         with nn.no_grad():
             for lo, start, stop, hi in _chunks(frames):
-                x = wav.samples[lo * r : hi * r - short].astype(np.float32)
-                mu, _ = self.encode_dist(nn.Tensor(x[None, None, :]))
+                mu, _ = self.encode_dist(nn.Tensor(wav.samples[None, None, lo * r : hi * r - short]))
                 z[:, start:stop] = mu.data[0, :, start - lo : stop - lo]
         if not np.all(np.isfinite(z)):  # weights come from checkpoint files
             raise ValueError("latent contains NaN or inf")

@@ -2,10 +2,11 @@
 
 Two file kinds: a codec config ([codec] + [training]) and a stage config
 ([stage] + [degradation]/[anytoany]/[augmentation] + [training] + optional
-[schedule]/[predictor]). The keys of [codec], [training], [augmentation],
-[schedule] and [predictor] are the field names of the dataclass the section
-builds (CodecConfig, TrainParams, AugmentConfig, BridgeSchedule,
-PredictorConfig), and a missing key takes the field's default. [degradation]
+[predictor]). The keys of [codec], [training], [augmentation] and
+[predictor] are the field names of the dataclass the section builds
+(CodecConfig, TrainParams, AugmentConfig, PredictorConfig), and a missing
+key takes the field's default. A stage trains on the default bridge
+schedule, which its predictor checkpoint records. [degradation]
 and [anytoany] give ranges by their ends (cutoff_lo/cutoff_hi, orders,
 f_target_lo/f_target_hi); [stage] names checkpoint paths by kind (codec,
 predictor). Every missing required key, every key a parser does not read in
@@ -20,7 +21,6 @@ import configparser
 import os
 from dataclasses import MISSING, dataclass, fields
 
-from .bridge import BridgeSchedule
 from .codec import CodecConfig
 from .pipeline import AnyToAnyConfig, AugmentConfig, DegradationPolicy, StageConfig
 from .predictor import PredictorConfig
@@ -30,7 +30,7 @@ _ABSENT = object()
 
 # Every section some parser reads. Any file may hold any of them (a stage
 # config is also a degradation policy file); any other name is a typo.
-SECTIONS = ("codec", "training", "stage", "degradation", "anytoany", "augmentation", "schedule", "predictor")
+SECTIONS = ("codec", "training", "stage", "degradation", "anytoany", "augmentation", "predictor")
 
 
 class ConfigError(ValueError):
@@ -153,7 +153,7 @@ def parse_policy_file(path: str) -> DegradationPolicy:
     return pol
 
 
-def parse_stage_config(path: str) -> tuple[StageConfig, TrainParams, BridgeSchedule, PredictorConfig | None]:
+def parse_stage_config(path: str) -> tuple[StageConfig, TrainParams, PredictorConfig | None]:
     ini = read_ini(path)
     base = os.path.dirname(os.path.abspath(path))
 
@@ -184,10 +184,9 @@ def parse_stage_config(path: str) -> tuple[StageConfig, TrainParams, BridgeSched
         window_frames=ini.get("stage", "window_frames", int, StageConfig.window_frames),
         source_sr=ini.get("stage", "source_sr", int, StageConfig.source_sr),
     )
-    sched = read_section(ini, "schedule", BridgeSchedule)
     pred_cfg = None
     if ini.has_section("predictor"):
         pred_cfg = read_section(ini, "predictor", PredictorConfig, use_blur_token=augmentation is not None)
     tp = read_section(ini, "training", TrainParams)
     ini.reject_unread()
-    return stage, tp, sched, pred_cfg
+    return stage, tp, pred_cfg

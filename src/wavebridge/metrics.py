@@ -68,10 +68,8 @@ def _log_sq_ratio(ref: Spectrogram, est: Spectrogram) -> np.ndarray:
 
 
 def lsd(ref: Spectrogram, est: Spectrogram) -> float:
-    """Log-spectral distance: mean over frames of the RMS log10 ratio over bins."""
-    _check_shapes(ref, est)
-    d = _log_sq_ratio(ref, est)
-    return float(np.mean(np.sqrt(np.mean(d * d, axis=0))))
+    """Log-spectral distance over every bin (a power-of-two FFT's last bin is Nyquist exactly)."""
+    return lsd_band(ref, est, 0.0, ref.sample_rate / 2.0)
 
 
 def lsd_band(ref: Spectrogram, est: Spectrogram, f1: float, f2: float) -> float:

@@ -20,11 +20,11 @@ promotion): the Tensor constructor keeps a float32 array as float32 and
 stores anything else as float64. An op whose inputs mix float32 and float64
 (a binary op, a conv op's input and weight, a concat) casts the float64 ones
 down and differentiates with the cast data, and an operator's non-Tensor
-operand takes the dtype of the tensor it meets. So float32 parameters and
-data (the training functions cast theirs) give a float32 graph, float64 ones
-a float64 graph. Under no_grad every op output is also stored as float32,
-so a graph-free forward computes in float32 after its first op. The conv
-ops add their bias without promoting.
+operand takes the dtype of the tensor it meets. So a model computes in its
+parameters' dtype, with or without a graph: float32 when trained or loaded
+from a checkpoint, float64 when built by a constructor (the grad_check
+path). no_grad changes only whether a graph is recorded. The conv ops add
+their bias without promoting.
 
 No broadcasting surprises: binary ops follow numpy broadcasting and gradients
 are summed back over broadcast axes.
@@ -113,11 +113,9 @@ def _node(data, parents, backward_fn) -> Tensor:
     # backward_fn receives the output gradient as its argument instead of
     # reading it off the output, so a graph holds no reference cycle and is
     # freed without the cyclic garbage collector.
-    if not _GRAD_MODE.enabled:
-        return Tensor(np.asarray(data, dtype=np.float32))
     out = Tensor(data)
-    out.requires_grad = any(p.requires_grad for p in parents)
-    if out.requires_grad:
+    if _GRAD_MODE.enabled and any(p.requires_grad for p in parents):
+        out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
     return out

@@ -197,17 +197,16 @@ def prepare_anytoany_pair(
     rng: np.random.Generator,
     policy: DegradationPolicy,
     target_cfg: AnyToAnyConfig,
-    f_eff: float | None = None,
+    f_eff: float,
 ) -> TrainPair | None:
     """Build one any-to-any pair, or None when the clip is too narrow to use.
 
-    Consumes rng in order: f_target, family, order, cutoff. The high band is
-    removed with a fixed sharp Chebyshev; the prior filter comes from the
+    f_eff is the clip's detected bandwidth. Consumes rng in order: f_target,
+    family, order, cutoff. The high band is removed with a fixed sharp
+    Chebyshev; the prior filter comes from the
     degradation policy. Both filterings run on the same buffer, so the LR leg
     is the HR leg degraded further, never a fresh copy of the source.
     """
-    if f_eff is None:
-        f_eff = estimate_f_eff(wav).f_eff
     nyq = wav.nyquist
     hi_t = _target_ceiling(f_eff, nyq, target_cfg)
     if hi_t is None:
@@ -276,7 +275,7 @@ class NoUsableClipsError(ValueError):
 def _encode_batch(codec: Codec, batch: np.ndarray, scale: float) -> np.ndarray:
     """Posterior-mean latents for a (N, L) batch, rescaled for the bridge."""
     with nn.no_grad():
-        mu, _ = codec.encode_dist(nn.Tensor(batch[:, None, :].astype(np.float32)))
+        mu, _ = codec.encode_dist(nn.Tensor(batch[:, None, :]))
     return mu.data.astype(np.float64) * scale
 
 
@@ -288,7 +287,6 @@ def train_stage(
     steps: int,
     rng: np.random.Generator,
     predictor_cfg: PredictorConfig | None = None,
-    sched: bridge.BridgeSchedule | None = None,
     batch_size: int = 8,
     crop_latent_frames: int = 64,
     lr: float = 3e-4,
@@ -299,9 +297,9 @@ def train_stage(
 
     First stage needs stage_cfg.anytoany and .degradation; cascade stages need
     .augmentation. The codec is frozen: latents are posterior means, no
-    gradient flows into it. The bridge algebra runs in float64; the
-    predictor's parameters, inputs and graph are float32 (see nn). Returns
-    (predictor, full per-step loss trace).
+    gradient flows into it. The bridge algebra runs in float64 on the default
+    schedule; the predictor's parameters, inputs and graph are float32 (see
+    nn). Returns (predictor, full per-step loss trace).
 
     Consumes rng in order: the predictor's initial weights; then per step,
     per item, the clip index, the pair draws (cascade: margin, blur; an
@@ -318,8 +316,7 @@ def train_stage(
     cascade = stage_cfg.is_cascade
     if not cascade and (stage_cfg.anytoany is None or stage_cfg.degradation is None):
         raise ValueError("first-stage training needs anytoany and degradation configs")
-    if sched is None:
-        sched = bridge.BridgeSchedule()
+    sched = bridge.BridgeSchedule()
     if predictor_cfg is None:
         predictor_cfg = PredictorConfig(latent_channels=codec.cfg.channels, use_blur_token=cascade)
     if predictor_cfg.use_blur_token != cascade:
@@ -574,24 +571,31 @@ def _stage_infer(
     margin_override: float | None = None,
     info_out: list | None = None,
 ) -> Waveform:
-    """Run one stage: detect, low-pass, resample, encode, sample, decode."""
-    cfg = stage.cfg
-    # clamp first, so the input keeps the band its prior token claims
-    f_prior = max(estimate_f_eff(x).f_eff, MIN_USABLE_HZ)
-    if f_prior < FULL_BAND_FRAC * x.nyquist:
-        x = lowpass(x, f_prior)
-    x_r = resample(x, cfg.target_sr) if x.sample_rate != cfg.target_sr else x
-    f_target = cfg.target_sr / 2.0
+    """Run one stage: detect, low-pass, resample, encode, sample, decode.
 
+    An input whose prior band exceeds the target band passes through for a later stage.
+    """
+    cfg = stage.cfg
+    f_target = cfg.target_sr / 2.0
     if cfg.is_cascade:
         aug = cfg.augmentation
         margin = aug.lpf_margin_hz if margin_override is None else margin_override
         blur = aug.blur_star if blur_override is None else blur_override
-        enc_in = augment_prior(x_r, f_prior, margin)
     else:
         margin, blur = 0.0, None
-        enc_in = x_r
+    # clamp first, so the input keeps the band its prior token claims
+    f_prior = max(estimate_f_eff(x).f_eff, MIN_USABLE_HZ)
     token_prior = f_prior - margin
+    record = {"target_sr": cfg.target_sr, "f_prior": f_prior, "f_target": f_target}
+    if info_out is not None:
+        info_out.append(record)
+    if token_prior > f_target:
+        record["passed_through"] = True
+        return x
+    if f_prior < FULL_BAND_FRAC * x.nyquist:
+        x = lowpass(x, f_prior)
+    x_r = resample(x, cfg.target_sr) if x.sample_rate != cfg.target_sr else x
+    enc_in = augment_prior(x_r, f_prior, margin) if cfg.is_cascade else x_r
 
     z_cond = stage.codec.encode(enc_in) * stage.scale
     zT = blur_latent(z_cond, blur) if blur is not None else z_cond
@@ -601,24 +605,15 @@ def _stage_infer(
         stage.predictor, zT, z_cond, cond_vals, n_steps, rng, stage.sched, cfg.window_frames
     )
     out = stage.codec.decode(z_hat / stage.scale, length=len(x_r))
-    if info_out is not None:
-        info_out.append(
-            {
-                "target_sr": cfg.target_sr,
-                "f_prior": f_prior,
-                "f_target": f_target,
-                "margin": margin,
-                "blur": blur if blur is not None else "",
-            }
-        )
+    record.update(margin=margin, blur=blur if blur is not None else "")
     return out
 
 
 def upsample(
     wav_in: Waveform,
     stages: list[Stage],
-    n_steps: int = DEFAULT_N_STEPS,
-    rng: np.random.Generator | None = None,
+    n_steps: int,
+    rng: np.random.Generator,
     info: list | None = None,
 ) -> Waveform:
     """Cascade the stages over an input waveform.
@@ -635,9 +630,6 @@ def upsample(
         raise ValueError(f"stage rates must strictly increase, got {rates}")
     if wav_in.sample_rate > rates[-1]:
         raise ValueError(f"input rate {wav_in.sample_rate} above final target {rates[-1]}")
-    if rng is None:
-        rng = np.random.default_rng()
-
     peak = float(np.max(np.abs(wav_in.samples))) if len(wav_in) else 0.0
     if peak < SILENCE_PEAK:
         warnings.warn("input is silent; resampling without bandwidth extension")

@@ -13,7 +13,7 @@ predicts zero noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -84,14 +84,7 @@ class PredictorConfig:
         return 4 if self.use_blur_token else 3
 
     def to_dict(self) -> dict:
-        return {
-            "latent_channels": self.latent_channels,
-            "width": self.width,
-            "kernel": self.kernel,
-            "dilations": list(self.dilations),
-            "embed_dim": self.embed_dim,
-            "use_blur_token": self.use_blur_token,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "PredictorConfig":

@@ -36,6 +36,8 @@ class ToyConfig:
     def __post_init__(self):
         if self.sample_rate < 8000:
             raise ValueError("sample_rate below 8 kHz")
+        if self.n_samples < 1:
+            raise ValueError(f"duration {self.duration_s} s gives no sample at {self.sample_rate} Hz")
 
     @property
     def n_samples(self) -> int:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -35,10 +36,18 @@ def test_round_trip(tmp_path, rng):
     assert extra == {"scale": 2.0}
     assert set(loaded) == set(tensors)
     for name, arr in tensors.items():
+        # the float32 that was stored, as a writable array that owns its data
         assert loaded[name].shape == arr.shape
-        assert loaded[name].dtype == np.float64
-        # storage is float32, so equality holds exactly at that precision
-        assert np.array_equal(loaded[name].astype(np.float32), arr.astype(np.float32))
+        assert loaded[name].dtype == np.float32
+        assert loaded[name].tobytes() == arr.astype(np.float32).tobytes()
+        assert loaded[name].flags.writeable and loaded[name].flags.owndata
+
+
+def test_atomic_write_names_the_destination_when_its_directory_is_missing(tmp_path):
+    path = str(tmp_path / "nodir" / "out.wav")
+    with pytest.raises(FileNotFoundError, match=re.escape(repr(path))):
+        atomic_write_bytes(path, b"payload")
+    assert not (tmp_path / "nodir").exists()
 
 
 def test_bytes_deterministic(tmp_path, rng):

@@ -17,7 +17,7 @@ import pytest
 from scipy import stats
 
 import wavebridge
-from wavebridge import bridge
+from wavebridge import bridge, cli
 from wavebridge.checkpoint import load_checkpoint, save_checkpoint
 from wavebridge.cli import _rng_for, build_parser, main
 from wavebridge.codec import Codec, CodecConfig
@@ -139,6 +139,51 @@ def test_eval_identity_scores(toy_dir, tmp_path, capsys):
         assert float(r[1]) == 0.0
         assert float(r[4]) == pytest.approx(1.0, abs=1e-6)
     assert "mean lsd 0.0000" in capsys.readouterr().out
+
+
+def test_eval_skips_an_estimate_too_short_for_ssim(toy_dir, tmp_path, capsys, caplog):
+    # 100 samples give 5 STFT frames, fewer than one 7x7 SSIM block
+    ref, est = tmp_path / "ref", tmp_path / "est"
+    ref.mkdir()
+    est.mkdir()
+    for name in ("toy_0000.wav", "toy_0001.wav"):
+        shutil.copy(os.path.join(toy_dir, name), ref / name)
+    shutil.copy(os.path.join(toy_dir, "toy_0000.wav"), est / "toy_0000.wav")
+    write_wav(str(est / "toy_0001.wav"), np.zeros(100), 8000, encoding="float32")
+    out_csv = str(tmp_path / "eval.csv")
+    assert main(["eval", str(ref), str(est), "--out", out_csv]) == 0
+    assert [r[0] for r in _read_csv(out_csv)[1:]] == ["toy_0000.wav", "mean"]
+    assert any("toy_0001.wav" in r.getMessage() and "skipping" in r.getMessage() for r in caplog.records)
+    assert "evaluated 1 pairs" in capsys.readouterr().out
+
+
+def test_make_toy_zero_duration_names_it(tmp_path, capsys):
+    assert main(["make-toy", str(tmp_path / "toy"), "--duration", "0"]) == 1
+    assert "error: duration 0.0 s gives no sample at 8000 Hz" in capsys.readouterr().err
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("the command started work before checking its output directory")
+
+
+@pytest.mark.parametrize("argv", [
+    ["upsample", "in.wav", "{nodir}/o.wav", "--stage", "s.ini"],
+    ["train-codec", "--config", "c.ini", "--corpus", "toy", "--out", "{nodir}/c.ckpt"],
+    ["train-codec", "--config", "c.ini", "--corpus", "toy", "--out", "c.ckpt", "--loss-csv", "{nodir}/l.csv"],
+    ["train-bridge", "--config", "s.ini", "--corpus", "toy", "--out", "{nodir}/p.ckpt"],
+    ["train-bridge", "--config", "s.ini", "--corpus", "toy", "--out", "p.ckpt", "--loss-csv", "{nodir}/l.csv"],
+    ["eval", "ref", "est", "--out", "{nodir}/e.csv"],
+    ["tune-aug", "--stage", "s.ini", "--val-lr", "lr", "--val-hr", "hr", "--out", "{nodir}/t.csv"],
+    ["detect-bw", "in.wav", "--csv", "{nodir}/bw.csv"],
+], ids=["upsample", "train-codec-out", "train-codec-loss-csv", "train-bridge-out", "train-bridge-loss-csv",
+        "eval-out", "tune-aug-out", "detect-bw-csv"])
+def test_a_missing_output_directory_is_rejected_before_any_work(tmp_path, monkeypatch, capsys, argv):
+    for name in ("read_wav", "parse_codec_config", "parse_stage_config", "_wav_names"):
+        monkeypatch.setattr(cli, name, _no_work)
+    nodir = str(tmp_path / "nodir")
+    assert main([a.format(nodir=nodir) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"directory {nodir} does not exist" in err
 
 
 def test_train_codec_missing_key_exits_one(toy_dir, tmp_path, capsys):

@@ -112,14 +112,13 @@ def test_stage_config_first_stage(tmp_path):
         "[anytoany]\nf_target_lo = 4000\nf_target_hi = 4000\n"
         "[predictor]\nlatent_channels = 4\nwidth = 8\nkernel = 3\ndilations = 1 2\nembed_dim = 16\n",
     )
-    stage, tp, sched, pcfg = parse_stage_config(path)
+    stage, tp, pcfg = parse_stage_config(path)
     assert stage.target_sr == 8000
     assert stage.is_cascade is False
     # relative checkpoint paths resolve against the config's directory
     assert stage.codec_path == str(tmp_path / "codec.ckpt")
     assert stage.predictor_path == str(tmp_path / "pred.ckpt")
     assert stage.anytoany.f_target_range == (4000.0, 4000.0)
-    assert (sched.g_min_sq, sched.g_max_sq, sched.profile) == (0.001, 1.0, "triangular")
     assert pcfg.latent_channels == 4
     assert pcfg.use_blur_token is False
 
@@ -129,14 +128,23 @@ def test_stage_config_cascade(tmp_path):
         tmp_path, "s.ini",
         "[stage]\ntarget_sr = 16000\n"
         "[augmentation]\nblur_star = 0.2\nblur_max = 0.8\n"
-        "[schedule]\ng_min_sq = 0.002\ng_max_sq = 0.5\nprofile = constant\n"
         "[predictor]\n",
     )
-    stage, _, sched, pcfg = parse_stage_config(path)
+    stage, _, pcfg = parse_stage_config(path)
     assert stage.is_cascade is True
     assert stage.augmentation.blur_star == 0.2
-    assert (sched.g_min_sq, sched.g_max_sq, sched.profile) == (0.002, 0.5, "constant")
     assert pcfg.use_blur_token is True
+
+
+def test_removed_schedule_section_fails_by_name(tmp_path):
+    # a stage trains on the default bridge schedule; a file that still sets
+    # one would otherwise train on a schedule other than the one it names
+    path = _write(
+        tmp_path, "s.ini",
+        "[stage]\ntarget_sr = 16000\n[augmentation]\n[schedule]\nprofile = constant\n",
+    )
+    with pytest.raises(ConfigError, match=r"unknown section \[schedule\]"):
+        parse_stage_config(path)
 
 
 def test_stage_config_rejects_both_kinds(tmp_path):
@@ -155,7 +163,7 @@ def test_stage_config_absolute_path_kept(tmp_path):
         tmp_path, "s.ini",
         "[stage]\ntarget_sr = 8000\ncodec = /abs/c.ckpt\n",
     )
-    stage, _, _, pcfg = parse_stage_config(path)
+    stage, _, pcfg = parse_stage_config(path)
     assert stage.codec_path == "/abs/c.ckpt"
     assert stage.predictor_path == ""
     assert pcfg is None
@@ -188,7 +196,6 @@ INI_SURFACE = {
     "degradation": {"cutoff_lo", "cutoff_hi", "families", "orders"},
     "anytoany": {"f_target_lo", "f_target_hi"},
     "augmentation": {"lpf_margin_hz", "train_margin_max_hz", "blur_max", "blur_star"},
-    "schedule": {"g_min_sq", "g_max_sq", "profile"},
     "predictor": {"latent_channels", "width", "kernel", "dilations", "embed_dim"},
 }
 
@@ -216,8 +223,8 @@ def test_ini_surface_is_pinned(tmp_path, monkeypatch):
     cases = [
         (parse_codec_config, "[codec]\nsample_rate = 8000\n", ("codec", "training")),
         (parse_policy_file, "[degradation]\ncutoff_lo = 1000\ncutoff_hi = 3000\n", ("degradation",)),
-        (parse_stage_config, first, ("stage", "degradation", "anytoany", "schedule", "predictor", "training")),
-        (parse_stage_config, cascade, ("stage", "augmentation", "schedule", "predictor", "training")),
+        (parse_stage_config, first, ("stage", "degradation", "anytoany", "predictor", "training")),
+        (parse_stage_config, cascade, ("stage", "augmentation", "predictor", "training")),
     ]
     for i, (parse, text, sections) in enumerate(cases):
         asked = _accepted_keys(monkeypatch, parse, _write(tmp_path, f"{i}.ini", text))
@@ -260,10 +267,10 @@ def test_every_known_section_may_share_a_file(tmp_path):
     path = _write(
         tmp_path, "s.ini",
         "[stage]\ntarget_sr = 8000\n[degradation]\ncutoff_lo = 1000\ncutoff_hi = 3000\n"
-        "[anytoany]\nf_target_lo = 4000\nf_target_hi = 4000\n[schedule]\n[predictor]\nwidth = 8\n"
+        "[anytoany]\nf_target_lo = 4000\nf_target_hi = 4000\n[predictor]\nwidth = 8\n"
         "[training]\nsteps = 3\n",
     )
-    assert parse_stage_config(path)[3].width == 8
+    assert parse_stage_config(path)[2].width == 8
     assert parse_policy_file(path).cutoff_range == (1000.0, 3000.0)
 
 

@@ -85,6 +85,18 @@ def test_lsd_band_full_band_matches_lsd(rng):
     assert lsd_band(ref, est, 0.0, 4000.0) == pytest.approx(lsd(ref, est), abs=1e-12)
 
 
+@pytest.mark.parametrize("sr", [8000, 44100, 48000])
+@pytest.mark.parametrize("fft_size", [256, 2048])
+def test_lsd_is_the_all_bin_formula_bit_for_bit(rng, sr, fft_size):
+    # lsd is lsd_band over [0, Nyquist]: for a power-of-two FFT the last bin
+    # sits at Nyquist exactly, so the band keeps every bin
+    ref, est = _rand_spec(rng, fft_size=fft_size, sr=sr), _rand_spec(rng, fft_size=fft_size, sr=sr)
+    assert (ref.bins.shape[0] - 1) * ref.bin_hz == sr / 2.0
+    d = 2.0 * (np.log10(np.maximum(ref.magnitude(), LSD_FLOOR)) - np.log10(np.maximum(est.magnitude(), LSD_FLOOR)))
+    want = float(np.mean(np.sqrt(np.mean(d * d, axis=0))))
+    assert lsd(ref, est) == want == lsd_band(ref, est, 0.0, sr / 2.0)
+
+
 def test_lsd_band_brute_force(rng):
     ref, est = _rand_spec(rng), _rand_spec(rng)
     f1, f2 = 1000.0, 3000.0

@@ -366,20 +366,31 @@ def test_no_grad_is_per_thread(rng):
     assert nn.tanh(a).requires_grad
 
 
-def test_no_grad_outputs_are_float32_and_the_constructor_keeps_dtypes(rng):
+def test_no_grad_forward_is_the_graph_forward_in_the_parameters_dtype(rng):
+    # no_grad only drops the graph: each op gives the dtype and bytes of the
+    # same op with a graph, float64 for constructor-built layers and float32
+    # once their parameters are float32; the constructor keeps float32 only
     assert nn.Tensor(np.ones(3, dtype=np.float32)).data.dtype == np.float32
     assert nn.Tensor(np.ones(3)).data.dtype == np.float64
     assert nn.Tensor([1, 2]).data.dtype == np.float64
-    conv = nn.Conv1d(2, 3, 3, rng)
+    conv, deconv, lin = nn.Conv1d(2, 3, 3, rng, dilation=2), nn.ConvT1d(3, 2, 4, rng, stride=2), nn.Linear(32, 5, rng)
     x = nn.Tensor(rng.standard_normal((2, 2, 32)))
-    with nn.no_grad():
-        built = nn.Tensor(rng.standard_normal(4))  # constructed, not computed: stays float64
+
+    def forward():
         h = conv(x)
-        outs = [h, nn.tanh(h), h + h, nn.concat([h, h], -1), nn.narrow(h, -1, 1, 5)]
-    assert built.data.dtype == np.float64
-    assert all(out.data.dtype == np.float32 for out in outs)
-    assert conv.w.data.dtype == np.float64 and conv(x).data.dtype == np.float64
-    assert np.allclose(h.data, conv(x).data, rtol=0, atol=1e-5)
+        return [h, nn.tanh(h), h + h, h * 0.5, nn.concat([h, h], -1), nn.narrow(h, -1, 1, 5), deconv(h), lin(h),
+                nn.stft_mag(nn.reshape(h, (2, 96)), StftParams(32, 8))]
+
+    for dtype in (np.float64, np.float32):
+        if dtype == np.float32:
+            nn.to_float32([t for layer in (conv, deconv, lin) for _, t in layer.named_params("")])
+        graph = forward()
+        with nn.no_grad():
+            free = forward()
+        for g, f in zip(graph, free):
+            assert g.requires_grad and not f.requires_grad
+            assert g.data.dtype == f.data.dtype == dtype
+            assert f.data.tobytes() == g.data.tobytes()
 
 
 def test_no_grad_binary_ops_do_not_promote_float32(rng):

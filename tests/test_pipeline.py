@@ -1,10 +1,13 @@
 """Pipeline: degradation, training pairs, blur, stitching, stage round trips."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from wavebridge import bridge, nn, pipeline, toydata
-from wavebridge.checkpoint import CheckpointError
+from wavebridge.checkpoint import CheckpointError, load_checkpoint
 from wavebridge.codec import Codec, CodecConfig, train_codec
 from wavebridge.config import parse_policy_file
 from wavebridge.dsp import MAX_ORDER, FilterSpec, Waveform, design_lowpass, lowpass
@@ -440,8 +443,9 @@ def test_codec_checkpoint_round_trip(tmp_path, rng):
     assert loaded.cfg == codec.cfg
     for (na, ta), (nb, tb) in zip(codec.named_params(), loaded.named_params()):
         assert na == nb
-        # storage is float32; the round trip must be exact at that precision
-        assert np.array_equal(ta.data.astype(np.float32), tb.data.astype(np.float32))
+        # a loaded codec holds the float32 that was stored
+        assert tb.data.dtype == np.float32
+        assert np.array_equal(ta.data.astype(np.float32), tb.data)
 
 
 def test_predictor_checkpoint_round_trip(tmp_path):
@@ -454,7 +458,16 @@ def test_predictor_checkpoint_round_trip(tmp_path):
     assert loaded.cfg == pred.cfg
     for (na, ta), (nb, tb) in zip(pred.named_params(), loaded.named_params()):
         assert na == nb
-        assert np.array_equal(ta.data.astype(np.float32), tb.data.astype(np.float32))
+        assert tb.data.dtype == np.float32
+        assert np.array_equal(ta.data.astype(np.float32), tb.data)
+
+
+@pytest.mark.parametrize("name", ["codec8k", "codec16k", "stage1", "cascade16k"])
+def test_committed_checkpoint_configs_serialise_back_to_their_json(name):
+    path = Path(__file__).resolve().parents[1] / "wbbench" / "ckpt" / f"{name}.ckpt"
+    kind, config, _, _ = load_checkpoint(str(path))
+    cls = CodecConfig if kind == "codec" else PredictorConfig
+    assert json.dumps(cls.from_dict(config).to_dict(), sort_keys=True) == json.dumps(config, sort_keys=True)
 
 
 def test_checkpoint_kind_mismatch(tmp_path):
@@ -514,11 +527,11 @@ def test_upsample_validation(rng):
     stage = _tiny_stage()
     wav = Waveform(rng.standard_normal(4096), 4000)
     with pytest.raises(ValueError):
-        upsample(wav, [], n_steps=2)
+        upsample(wav, [], n_steps=2, rng=rng)
     with pytest.raises(ValueError):
-        upsample(Waveform(rng.standard_normal(4096), 16000), [stage], n_steps=2)
+        upsample(Waveform(rng.standard_normal(4096), 16000), [stage], n_steps=2, rng=rng)
     with pytest.raises(ValueError):
-        upsample(wav, [stage, stage], n_steps=2)  # rates do not increase
+        upsample(wav, [stage, stage], n_steps=2, rng=rng)  # rates do not increase
 
 
 def test_upsample_silence_passthrough():
@@ -640,6 +653,31 @@ def test_upsample_info_records_stage(rng):
     assert info[0]["target_sr"] == 8000
     assert info[0]["f_target"] == 4000.0
     assert set(info[0]) == {"target_sr", "f_prior", "f_target", "margin", "blur"}
+
+
+def _tiny_cascade_stage16():
+    codec = Codec(CodecConfig(sample_rate=16000, channels=4, widths=(8, 12, 16, 16)), np.random.default_rng(3))
+    pred = Predictor(PredictorConfig(**{**SMALL_PRED.to_dict(), "use_blur_token": True}), np.random.default_rng(4))
+    pred.out_proj.w.data = np.random.default_rng(5).standard_normal(pred.out_proj.w.data.shape) * 0.1
+    return Stage(StageConfig(target_sr=16000, augmentation=AugmentConfig()), codec, pred, bridge.BridgeSchedule(), 1.0)
+
+
+def test_cascade_passes_an_input_above_a_stage_band_through():
+    # A 16 kHz clip holding content to 6 kHz reads about 6 kHz at the 8 kHz
+    # first stage, above its 4 kHz target band; that stage hands the clip on
+    # unchanged and draws no noise, so the cascade gives the 16 kHz stage's bytes.
+    stage8, stage16 = _tiny_stage(), _tiny_cascade_stage16()
+    clip = lowpass(Waveform(np.random.default_rng(6).standard_normal(8192) * 0.3, 16000), 6000.0)
+    info = []
+    both = upsample(clip, [stage8, stage16], n_steps=2, rng=np.random.default_rng(7), info=info)
+    alone = upsample(clip, [stage16], n_steps=2, rng=np.random.default_rng(7))
+    assert both.sample_rate == 16000 and both.samples.tobytes() == alone.samples.tobytes()
+    assert info[0]["passed_through"] is True and info[0]["target_sr"] == 8000 and info[0]["f_prior"] > 4000.0
+    assert info[1]["target_sr"] == 16000 and "passed_through" not in info[1]
+    # an input inside the first stage's band still runs both stages
+    info = []
+    upsample(lowpass(clip, 3000.0), [stage8, stage16], n_steps=2, rng=np.random.default_rng(7), info=info)
+    assert [set(row) for row in info] == [{"target_sr", "f_prior", "f_target", "margin", "blur"}] * 2
 
 
 def test_stage_infer_lowpasses_at_the_clamped_prior_band(monkeypatch):

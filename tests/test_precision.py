@@ -1,7 +1,8 @@
 """Precision contract: the graphs train_codec and train_stage build run in
 float32, a graph built from a constructor-built model and float64 data runs
-in float64 (the grad_check path), graph-free inference runs in float32, and
-the float32 path hands float64 arrays back to the bridge."""
+in float64 (the grad_check path), checkpoints load as the float32 they
+store, graph-free inference computes in the parameters' dtype, and the
+float32 path hands float64 arrays back to the bridge."""
 
 import numpy as np
 import pytest
@@ -136,16 +137,23 @@ def test_float32_trained_models_survive_a_save_load_round_trip(tmp_path):
     pred_back, _ = load_predictor(str(tmp_path / "p.ckpt"))
     for model, back in ((codec, codec_back), (pred, pred_back)):
         for (name, a), (_, b) in zip(model.named_params(), back.named_params()):
-            assert a.data.dtype == F32, name
-            assert np.array_equal(a.data, b.data), name
-    # encode casts its input to float32, so the loaded float64 weights are cast down to the
-    # same float32 values; decode's first layer meets a float64 latent, so a loaded codec runs
-    # that layer in float64, as inference did before float32 training
+            assert a.data.dtype == b.data.dtype == F32, name
+            assert a.data.tobytes() == b.data.tobytes(), name
+    # the loaded models hold the trained float32 parameters, so they compute the same bytes
     wav = clips[0]
     z = codec.encode(wav)
     assert codec_back.encode(wav).tobytes() == z.tobytes()
-    y, y_back = codec.decode(z).samples, codec_back.decode(z).samples
-    assert np.allclose(y_back, y, rtol=0, atol=1e-5 * np.max(np.abs(y)))
+    assert codec_back.decode(z).samples.tobytes() == codec.decode(z).samples.tobytes()
+    zt = np.random.default_rng(3).standard_normal((2,) + z.shape)
+    cond = Conditioning(t=[0.3, 0.7], f_prior=[1000.0, 2000.0], f_target=[4000.0, 4000.0])
+    with nn.no_grad():
+        eps = [m.forward(nn.Tensor(zt), cond, nn.Tensor(zt)).data for m in (pred, pred_back)]
+    assert eps[0].dtype == F32 and eps[0].tobytes() == eps[1].tobytes()
+    # a loaded model keeps training in place, as Adam updates its parameters
+    p = pred_back.params()[0]
+    p.grad = np.ones_like(p.data)
+    nn.Adam([p], lr=1e-3).step()
+    assert p.data.dtype == F32 and not np.array_equal(p.data, pred.params()[0].data)
 
 
 def test_stft_mag_backward_on_zero_bins_is_finite_in_float32(rng):

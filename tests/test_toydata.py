@@ -12,6 +12,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ToyConfig(sample_rate=4000)
     assert ToyConfig(duration_s=1.024).n_samples == 8192
+    for duration in (0.0, 1e-5, -1.0):
+        with pytest.raises(ValueError, match=rf"duration {duration} s gives no sample at 8000 Hz"):
+            ToyConfig(duration_s=duration)
 
 
 def test_tilted_noise_unit_rms(rng):
